@@ -327,7 +327,21 @@ def _cmd_table3(args) -> int:
     config, comparison = _comparison(args, tracer, metrics, profiler)
     full_comparison = dict(comparison)
     unmitigated = comparison.pop("none")
-    print(f"unmitigated flips: {unmitigated.total_flips}\n")
+    # below one refresh window a sustained attack may never reach the
+    # threshold, so the flip count alone says little; print how far off
+    max_disturbance = max(
+        (result.max_disturbance for result in unmitigated.results), default=0
+    )
+    intervals = max(
+        (result.intervals_simulated for result in unmitigated.results),
+        default=0,
+    )
+    print(
+        f"unmitigated flips: {unmitigated.total_flips} "
+        f"(max disturbance {max_disturbance:,} of flip threshold "
+        f"{config.flip_threshold:,}; {intervals:,} of "
+        f"{config.geometry.refint:,} refresh intervals simulated)\n"
+    )
     resources = table3_resources(config, include_modern=args.include_modern)
     print(render_table3(config, comparison, resources))
     _finish_telemetry(

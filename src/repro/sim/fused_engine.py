@@ -5,24 +5,36 @@ replayed under nine techniques, several seeds, and a pbase grid.  The
 fast engine (:mod:`repro.sim.fast_engine`) evaluates one
 ``(technique, seed)`` pair per call, so a campaign decodes and replays
 the identical trace once per cell.  This engine decodes the trace
-**once** into structure-of-arrays form and replays it for the entire
-``(technique, seed, pbase)`` cell grid simultaneously.
+**once** into structure-of-arrays form and evaluates the entire
+``(technique, seed, pbase)`` cell grid against it.
 
 Layout and strategy
 -------------------
 
 * **SoA trace tape** -- the record stream is decoded once into parallel
-  ``times / banks / rows / attacks`` arrays plus a precomputed run-length
-  *segment schedule* (maximal runs of identical records, split at
-  refresh-interval boundaries).  Segmentation is cell-independent: the
-  refresh clock is driven purely by record timestamps, so every cell
-  shares one tape.
-* **Cell lanes** -- each *computed* cell owns a lane holding its mutable
-  state (disturbance counters, pending actions, flip events, decider
-  tables).  A lane is a faithful port of the fast-engine replay loop,
-  driven by the shared segment schedule; per-cell RNG streams derive
-  from the existing ``derive_seed(seed, "mitigation", bank)`` scheme, so
-  every lane is bit-identical to a solo reference-engine run.
+  record columns plus a precomputed run-length *segment schedule*
+  (maximal runs of identical records, split at refresh-interval
+  boundaries).  Segmentation is cell-independent: the refresh clock is
+  driven purely by record timestamps, so every cell shares one tape.
+* **Decision pass** -- mitigations see only the ACT stream and ``ref``
+  ticks, never device state, so each computed cell's *lane* walks the
+  segment schedule driving only its deciders.  It keeps the mitigation
+  counts (triggers, extra and false-positive ACTs, buffer occupancy,
+  first trigger) and records every mitigating ACT it applies -- bank,
+  row, timestamp and its position among the records and ``ref`` ticks.
+  Per-cell RNG streams derive from the existing
+  ``derive_seed(seed, "mitigation", bank)`` scheme, so every lane is
+  bit-identical to a solo reference-engine run.
+* **Device pass** -- flips and ``max_disturbance`` follow afterwards
+  from the tape plus that sparse ACT list.  A victim's disturbance is
+  the run-weighted number of neighbour ACTs since its last restore (its
+  own ACT or the periodic refresh of its slot).  With numpy this is a
+  columnar pass of segmented counts over the run-weighted segments, one
+  bank at a time: the unmitigated baseline is computed once per tape
+  and each lane recounts only the victims its mitigating ACTs touch.
+  Without numpy, and under Half-Double coupling (``distance2_rate >
+  0``, whose fractional counts accumulate one ACT at a time), one
+  scalar device function replays the same input through counter dicts.
 * **Cell dedup** -- mitigation classes declare ``consumes_rng`` /
   ``consumes_pbase`` traits.  TWiCe and CRA consume neither, so their
   seed x pbase plane collapses to one computed cell; PARA, ProHit and
@@ -30,30 +42,36 @@ Layout and strategy
   to the requested cells with the ``seed`` field fixed up.
 * **Vectorised deciders** -- the probabilistic techniques pre-draw their
   Mersenne-Twister ``random()`` values in blocks (the *k*-th draw is the
-  same value eagerly or batched) and scan them as numpy arrays; the
-  table-based techniques (TWiCe, CRA, CaPRoMi) collapse a run of ``n``
-  identical activations into one arithmetic update; ProHit and MRLoc
-  detect their steady table state and scan the remaining draws in bulk.
+  same value eagerly or batched) and scan them as numpy arrays.  On
+  short runs PARA and the three TiVaPRoMi variants scan a bank's whole
+  record stream at once (their trigger probability is fixed per record
+  between triggers) and take one scalar step per trigger, and the
+  unmitigated lane skips the decision walk altogether.  The table-based
+  techniques (TWiCe, CRA, CaPRoMi) collapse a run of ``n`` identical
+  activations into one arithmetic update; ProHit and MRLoc detect their
+  steady table state and scan the remaining draws in bulk.
 
 Exact equivalence to the reference engine on every cell is the
 non-negotiable invariant, enforced by ``tests/sim/test_fused_differential.py``
-via :func:`tests.harness.assert_grid_equivalent`.  numpy is optional:
-without it every scan falls back to the scalar loop (identical results,
-reduced throughput).
+via :func:`tests.harness.assert_grid_equivalent`; the two device passes
+are pinned to each other by a Hypothesis property in
+``tests/sim/test_fused_properties.py``.  numpy is optional: without it
+every scan falls back to the scalar loop (identical results, reduced
+throughput).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the draw scans; the scalar fallback is exact
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
-from repro.config import SimConfig
+from repro.config import DRAMGeometry, SimConfig
 from repro.controller.controller import MitigationFactory
 from repro.core.capromi import CaPRoMi
 from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi
@@ -91,6 +109,12 @@ from repro.traces.record import Trace
 #: block size for the pre-drawn ``random()`` buffers of the fused
 #: deciders (matches the fast engine's TiVaPRoMi block)
 _BLOCK = 4096
+
+#: mean records per segment below which lanes scan whole banks in bulk:
+#: on one-record runs (the paper's mixed workload, 1.002) a bulk scan
+#: beats a per-segment walk; on long runs (flooding, ~165) the walk's
+#: one ``decide_run`` per run is cheaper than scanning every record
+_BULK_RUN_LENGTH = 2
 
 #: sentinel pbase used to canonicalise configs of techniques that do not
 #: consume ``pbase`` when building dedup keys (any valid value works --
@@ -195,10 +219,18 @@ class _Tape:
     ``segments`` is a list of ``(start, end, bank, row, is_attack,
     interval)`` tuples -- maximal runs of identical records that never
     cross a refresh-interval boundary, exactly the runs the fast engine
-    discovers by peeking ahead.
+    discovers by peeking ahead.  ``interval`` is the running maximum of
+    the record intervals: the interval a lane is in while it replays the
+    segment (a lane's refresh clock never runs backwards).  With numpy
+    the schedule is also kept as columns (``starts``, ``lengths``,
+    ``banks``, ``rows``, ``attacks``, ``intervals``) for the bulk scans
+    and the columnar device pass.
     """
 
-    __slots__ = ("times", "segments", "interval_ns", "total_intervals")
+    __slots__ = (
+        "times", "segments", "interval_ns", "total_intervals", "starts",
+        "lengths", "banks", "rows", "attacks", "intervals",
+    )
 
     def __init__(self, trace: Trace):
         meta = trace.meta
@@ -214,47 +246,59 @@ class _Tape:
             rows.append(record[2])
             attacks.append(record[3])
         self.times = times
-        self.segments = self._segment(times, banks, rows, attacks)
+        self.starts = self.lengths = self.banks = self.rows = None
+        self.attacks = self.intervals = None
+        if _np is None:
+            self.segments = self._segment(times, banks, rows, attacks)
+            return
+        self._columns(times, banks, rows, attacks)
+        begins = self.starts.tolist()
+        self.segments = [  # sharing the decoded int objects
+            (start, end, banks[start], rows[start], attacks[start], interval)
+            for start, end, interval in zip(
+                begins, begins[1:] + [len(times)], self.intervals.tolist()
+            )
+        ]
+
+    def _columns(self, times, banks, rows, attacks) -> None:
+        n = len(times)
+        ta = _np.asarray(times, dtype=_np.int64)
+        ba = _np.asarray(banks, dtype=_np.int32)
+        ra = _np.asarray(rows, dtype=_np.int32)
+        aa = _np.asarray(attacks, dtype=bool)
+        iv = ta // self.interval_ns
+        change = _np.ones(n, dtype=bool)
+        change[1:] = (
+            (ba[1:] != ba[:-1])
+            | (ra[1:] != ra[:-1])
+            | (aa[1:] != aa[:-1])
+            | (iv[1:] != iv[:-1])
+        )
+        starts = _np.flatnonzero(change)
+        self.starts = starts
+        self.lengths = _np.diff(_np.append(starts, n)).astype(_np.int32)
+        self.banks = ba[starts]
+        self.rows = ra[starts]
+        self.attacks = aa[starts]
+        self.intervals = _np.maximum.accumulate(iv[starts]).astype(_np.int32)
 
     def _segment(self, times, banks, rows, attacks):
         n = len(times)
         if n == 0:
             return []
         interval_ns = self.interval_ns
-        if _np is not None:
-            ta = _np.asarray(times, dtype=_np.int64)
-            ba = _np.asarray(banks, dtype=_np.int64)
-            ra = _np.asarray(rows, dtype=_np.int64)
-            aa = _np.asarray(attacks, dtype=bool)
-            iv = ta // interval_ns
-            if n > 1:
-                breaks = (
-                    _np.flatnonzero(
-                        (ba[1:] != ba[:-1])
-                        | (ra[1:] != ra[:-1])
-                        | (aa[1:] != aa[:-1])
-                        | (iv[1:] != iv[:-1])
-                    )
-                    + 1
-                ).tolist()
-            else:
-                breaks = []
-            starts = [0] + breaks
-            ends = breaks + [n]
-            return [
-                (s, e, banks[s], rows[s], attacks[s], times[s] // interval_ns)
-                for s, e in zip(starts, ends)
-            ]
         segments = []
         start = 0
         key = (banks[0], rows[0], attacks[0], times[0] // interval_ns)
+        ceiling = key[3]
         for i in range(1, n):
             nxt = (banks[i], rows[i], attacks[i], times[i] // interval_ns)
             if nxt != key:
-                segments.append((start, i) + key)
+                segments.append((start, i) + key[:3] + (ceiling,))
                 start = i
                 key = nxt
-        segments.append((start, n) + key)
+                ceiling = max(ceiling, key[3])
+        segments.append((start, n) + key[:3] + (ceiling,))
         return segments
 
 
@@ -312,6 +356,119 @@ class _FusedTiVaDecider(_TiVaPRoMiDecider, _NumpyScanMixin):
             pos = end
         self._pos = pos
         return count, ()
+
+    def _p_of(self, weights, log: bool):
+        """Vectorised Eq. 1 / Eq. 2 probabilities of integer *weights*
+        (``2 ** bit_length`` is exact via ``frexp``; the products are
+        the same IEEE values the scalar ``weight * pbase`` yields)."""
+        weights = weights.astype(_np.float64)
+        if log:
+            weights = _np.ldexp(1.0, _np.frexp(weights)[1])
+        return _np.minimum(weights * self.pbase, 1.0)
+
+    def _slots_of(self, rows):
+        """Assumed refresh slot ``f_r`` of every row in *rows*."""
+        slot_fn = self.slot_fn
+        if getattr(slot_fn, "__func__", None) is DRAMGeometry.refresh_interval_of:
+            return rows // slot_fn.__self__.rows_per_interval
+        unique, inverse = _np.unique(rows, return_inverse=True)
+        slots = [slot_fn(row) for row in unique.tolist()]
+        return _np.asarray(slots, dtype=_np.int64)[inverse]
+
+    def scan(self, rows, intervals):
+        """Decide every record of this bank in bulk.
+
+        *rows* and *intervals* are the bank's records in tape order.
+        Between triggers and window starts the history table is fixed,
+        so each record's trigger probability is known up front; the
+        pre-drawn block is compared against it and the first hit takes
+        one scalar step.  Yields ``(j, actions)`` per triggering record
+        *j*.
+        """
+        slots = self._slots_of(rows)
+        refint = self.refint
+        window = intervals // refint
+        now = intervals % refint
+        free_p = self._p_of((now - slots) % refint, self.weighting != "linear")
+        table_log = self.weighting == "log"
+        n = len(rows)
+        current = None
+        j = 0
+        while j < n:
+            if window[j] != current:
+                current = window[j]
+                self.table.clear()  # the window-start ``ref`` tick
+            if self._pos >= len(self._buf):
+                rand = self._rand
+                self._buf = [rand() for _ in range(_BLOCK)]
+                self._pos = 0
+                if self.telemetry is not None:
+                    self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
+            pos = self._pos
+            end = min(
+                j + len(self._buf) - pos,
+                int(_np.searchsorted(window, current, side="right")),
+            )
+            p = free_p[j:end]
+            if self.table:
+                p = p.copy()
+                chunk = rows[j:end]
+                for row, stored in self.table.items():
+                    at = _np.flatnonzero(chunk == row)
+                    if at.size:
+                        p[at] = self._p_of(
+                            (now[j:end][at] - stored) % refint, table_log
+                        )
+            hits = _np.flatnonzero(self._mirror()[pos:pos + end - j] < p)
+            if hits.size:
+                hit = int(hits[0])
+                self._pos = pos + hit
+                j += hit
+                yield j, self.on_activation(int(rows[j]), int(intervals[j]))
+                j += 1
+            else:
+                self._pos = pos + end - j
+                j = end
+
+
+class _FusedPARADecider(_PARADecider):
+    """PARA with a bulk draw scan (see :meth:`_FusedTiVaDecider.scan`).
+
+    The probability is a constant, so a block is scanned for its first
+    draw below it; that record replays through ``on_activation``, which
+    rewinds the generator for the victim's ``randrange`` exactly like
+    the scalar path.
+    """
+
+    __slots__ = ()
+
+    def scan(self, rows, intervals):
+        p = self.probability
+        rng = self._rng
+        n = len(rows)
+        j = 0
+        while j < n:
+            if self._pos >= len(self._buf):
+                self._state = rng.getstate()
+                rand = rng.random
+                self._buf = [rand() for _ in range(256)]
+                self._pos = 0
+                if self.telemetry is not None:
+                    self.telemetry.on_rng_block(self.mitigation.bank, 256)
+            pos = self._pos
+            span = min(len(self._buf) - pos, n - j)
+            hits = _np.flatnonzero(
+                _np.asarray(self._buf[pos:pos + span]) < p
+            )
+            if hits.size:
+                hit = int(hits[0])
+                self._pos = pos + hit
+                j += hit
+                yield j, self.on_activation(int(rows[j]), int(intervals[j]))
+                j += 1
+            else:
+                self._pos = pos + span
+                j += span
 
 
 class _BufferedVictimDecider(_NumpyScanMixin):
@@ -501,29 +658,29 @@ class _FusedMRLocDecider(_BufferedVictimDecider):
         boost = m.max_boost
         actions = None
         for victim in victims:
-            length = len(queue)
             probability = base
-            if length:
-                try:
-                    position = list(queue).index(victim)
-                except ValueError:
-                    position = -1
-                if position >= 0:
-                    recency = (position + 1) / length
-                    probability = base * (1.0 + (boost - 1.0) * recency)
-                    if probability > 1.0:
-                        probability = 1.0
-            if self._draw() < probability:
+            if victim in queue:
+                recency = (queue.index(victim) + 1) / len(queue)
+                probability = base * (1.0 + (boost - 1.0) * recency)
+                if probability > 1.0:
+                    probability = 1.0
+                queue.remove(victim)
+            if self._pos >= len(self._buf):
+                self._refill()
+            draw = self._buf[self._pos]
+            self._pos += 1
+            if draw < probability:
                 if actions is None:
                     actions = []
                 actions.append(RefreshRow(row=victim, trigger_row=row))
-            if victim in queue:
-                queue.remove(victim)
             queue.append(victim)
         return tuple(actions) if actions else ()
 
     def on_activation(self, row: int, interval: int):
-        return self._act(row, self._neighbors(row))
+        victims = self._victims.get(row)
+        if victims is None:
+            victims = self._neighbors(row)
+        return self._act(row, victims)
 
     def on_refresh(self, interval: int):
         return ()
@@ -707,7 +864,9 @@ def _make_fused_decider(mitigation: Mitigation):
             return _TiVaPRoMiDecider(mitigation)
         return _FusedTiVaDecider(mitigation)
     if kind is PARA:
-        return _PARADecider(mitigation)
+        if _np is None:
+            return _PARADecider(mitigation)
+        return _FusedPARADecider(mitigation)
     if kind is ProHit:
         return _FusedProHitDecider(mitigation)
     if kind is MRLoc:
@@ -728,18 +887,21 @@ def _make_fused_decider(mitigation: Mitigation):
 
 
 # ---------------------------------------------------------------------------
-# the shared tape context and per-cell lanes
+# the shared tape context and per-cell decision lanes
 # ---------------------------------------------------------------------------
 
 
 class _Shared:
-    """Read-only state shared by every lane of one grid call."""
+    """Read-only state shared by every lane of one grid call, plus the
+    caches the device passes share (neighbour tables, refresh slots and
+    the unmitigated baseline of each bank)."""
 
     __slots__ = (
         "geometry", "policy", "sequential", "refint", "rows_per_interval",
-        "interval_ns", "total_intervals", "times", "neighbors_of",
+        "tape", "times", "interval_ns", "total_intervals", "neighbors_of",
         "second_of", "stop_after_first_trigger", "max_activations",
-        "_refresh_rows",
+        "_refresh_rows", "_slots", "_bank_records", "_first_attack",
+        "_baselines",
     )
 
     def __init__(self, geometry, policy, tape, stop_after_first_trigger,
@@ -749,14 +911,19 @@ class _Shared:
         self.sequential = type(policy) is SequentialRefresh
         self.refint = geometry.refint
         self.rows_per_interval = geometry.rows_per_interval
+        self.tape = tape
+        self.times = tape.times
         self.interval_ns = tape.interval_ns
         self.total_intervals = tape.total_intervals
-        self.times = tape.times
         self.neighbors_of: Dict[int, Tuple[int, ...]] = {}
         self.second_of: Dict[int, List[int]] = {}
         self.stop_after_first_trigger = stop_after_first_trigger
         self.max_activations = max_activations
         self._refresh_rows: Dict[int, List[int]] = {}
+        self._slots: Dict[int, int] = {}
+        self._bank_records: Optional[List[Tuple]] = None
+        self._first_attack: Optional[Dict[Tuple[int, int], int]] = None
+        self._baselines: Dict[Tuple[int, Any], List] = {}
 
     def refresh_rows(self, slot: int) -> List[int]:
         rows = self._refresh_rows.get(slot)
@@ -766,25 +933,144 @@ class _Shared:
             )
         return rows
 
+    def neighbors(self, row: int) -> Tuple[int, ...]:
+        neighbors = self.neighbors_of.get(row)
+        if neighbors is None:
+            neighbors = self.neighbors_of[row] = self.geometry.neighbors(row)
+        return neighbors
+
+    def seconds(self, row: int) -> List[int]:
+        """Distance-2 victims of *row* (Half-Double coupling)."""
+        seconds = self.second_of.get(row)
+        if seconds is None:
+            seconds = self.second_of[row] = [
+                second
+                for neighbor in self.neighbors(row)
+                for second in self.geometry.neighbors(neighbor)
+                if second != row
+            ]
+        return seconds
+
+    def activated_rows(self, action) -> Tuple[int, ...]:
+        """Rows one mitigating action activates, in device order."""
+        if isinstance(action, RefreshRow):
+            return (action.row,)
+        if isinstance(action, ActivateNeighbors):
+            return self.neighbors(action.row)
+        if isinstance(action, RecoveryRefresh):
+            return tuple(
+                victim
+                for aggressor in action.rows
+                for victim in self.neighbors(aggressor)
+            )
+        raise TypeError(f"unknown mitigation action {action!r}")
+
+    # -- columnar helpers (numpy only) -----------------------------------
+
+    def neighbor_table(self, rows):
+        """``(len(rows), k)`` neighbour matrix of *rows*, ``-1``-padded."""
+        geometry = self.geometry
+        if type(geometry).neighbors is DRAMGeometry.neighbors:
+            # the plain N+-1 adjacency, cut at subarray edges
+            low = rows - rows % geometry.rows_per_subarray
+            high = low + geometry.rows_per_subarray - 1
+            return _np.stack((
+                _np.where(rows > low, rows - 1, -1),
+                _np.where(rows < high, rows + 1, -1),
+            ), axis=1)
+        unique, inverse = _np.unique(rows, return_inverse=True)
+        lists = [self.neighbors(row) for row in unique.tolist()]
+        width = max((len(victims) for victims in lists), default=0)
+        table = _np.full((len(lists), width), -1, dtype=_np.int32)
+        for index, victims in enumerate(lists):
+            table[index, :len(victims)] = victims
+        return table[inverse]
+
+    def slots_of(self, rows):
+        """Refresh slot of every row in *rows* under the device policy."""
+        if self.sequential:
+            return rows // self.rows_per_interval
+        unique, inverse = _np.unique(rows, return_inverse=True)
+        cache = self._slots
+        slot_of = self.policy.refresh_slot_of
+        slots = []
+        for row in unique.tolist():
+            slot = cache.get(row)
+            if slot is None:
+                slot = cache[row] = slot_of(row)
+            slots.append(slot)
+        return _np.asarray(slots, dtype=_np.int32)[inverse]
+
+    def bank_records(self, bank: int):
+        """Per-record ``(index, row, interval)`` columns of one bank, for
+        the bulk decision scans."""
+        if self._bank_records is None:
+            tape = self.tape
+            banks = _np.repeat(tape.banks, tape.lengths)
+            rows = _np.repeat(tape.rows, tape.lengths)
+            intervals = _np.repeat(tape.intervals, tape.lengths)
+            columns = []
+            for index in range(self.geometry.num_banks):
+                at = _np.flatnonzero(banks == index)
+                columns.append((at, rows[at], intervals[at]))
+            self._bank_records = columns
+        return self._bank_records[bank]
+
+    def end_decisions(self) -> None:
+        """Free what only the decision pass reads (the per-record bank
+        columns of the bulk scans)."""
+        self._bank_records = None
+
+    def first_attack(self) -> Dict[Tuple[int, int], int]:
+        """First record index of every attacking ``(bank, row)``."""
+        if self._first_attack is None:
+            tape = self.tape
+            if tape.starts is None:
+                runs = [
+                    (bank, row, start)
+                    for start, _, bank, row, is_attack, _ in tape.segments
+                    if is_attack
+                ]
+            else:
+                at = _np.flatnonzero(tape.attacks)
+                pairs = tape.banks[at].astype(_np.int64) << 32 | tape.rows[at]
+                _, first = _np.unique(pairs, return_index=True)
+                at = at[first]
+                runs = zip(
+                    tape.banks[at].tolist(), tape.rows[at].tolist(),
+                    tape.starts[at].tolist(),
+                )
+            first_attack: Dict[Tuple[int, int], int] = {}
+            for bank, row, start in runs:
+                first_attack.setdefault((bank, row), start)
+            self._first_attack = first_attack
+        return self._first_attack
+
 
 class _Lane:
-    """One computed cell: a faithful port of the fast-engine replay loop
-    driven by the shared segment schedule."""
+    """One computed cell's decision pass.
+
+    The lane walks the shared segment schedule and drives only its
+    deciders; it never touches device state.  Every mitigating ACT it
+    applies is recorded in ``extras`` as ``(pos, interval, bank, row,
+    time_ns)``, where ``pos`` is the number of trace records replayed
+    before it.  The device pass (:func:`_device_columnar` or
+    :func:`_device_scalar`) turns the tape plus that sparse list into
+    flips and ``max_disturbance`` afterwards.
+    """
 
     __slots__ = (
-        "sh", "config", "seed", "deciders", "tele", "technique",
-        "flip_threshold", "distance2", "plain_disturbance", "all_trivial",
-        "can_batch", "counters", "bank_flips", "aggressors",
-        "max_disturbance", "extra_activations", "fp_extra_activations",
-        "mitigation_triggers", "max_occupancy", "pending", "time_now",
+        "sh", "seed", "deciders", "tele", "technique",
+        "flip_threshold", "distance2", "all_trivial", "can_batch", "bulk",
+        "extras", "extra_activations", "fp_extra_activations",
+        "mitigation_triggers", "max_occupancy", "pending",
         "current_interval", "activation_index", "attack_activations",
-        "first_trigger", "stopped",
+        "first_trigger", "table_bytes",
     )
 
     def __init__(self, shared: _Shared, factory, seed: int,
                  config: SimConfig, tele):
         self.sh = shared
-        self.config = config
         self.seed = seed
         num_banks = shared.geometry.num_banks
         if factory is None:
@@ -803,118 +1089,73 @@ class _Lane:
         self.technique = self.deciders[0].name if self.deciders else "none"
         self.flip_threshold = config.flip_threshold
         self.distance2 = config.distance2_rate
-        self.plain_disturbance = self.distance2 == 0.0
         self.all_trivial = all(d.trivial_refresh for d in self.deciders)
-        self.can_batch = self.plain_disturbance and all(
+        # batching leaves the decider call pattern (and so the telemetry
+        # stream) exactly as the fast engine's, which batches only under
+        # the plain distance-1 model
+        self.can_batch = self.distance2 == 0.0 and all(
             hasattr(d, "decide_run") for d in self.deciders
         )
-        self.counters: List[Dict[int, float]] = [
-            {} for _ in range(num_banks)
-        ]
-        self.bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
-        self.aggressors: List[Set[int]] = [set() for _ in range(num_banks)]
-        self.max_disturbance = 0
+        # whole-bank scans need short runs, every decider to support
+        # them and no per-record observer or early stop
+        tape = shared.tape
+        self.bulk = (
+            _np is not None
+            and len(tape.times) < _BULK_RUN_LENGTH * len(tape.segments)
+            and tele is None
+            and shared.max_activations is None
+            and not shared.stop_after_first_trigger
+            and all(hasattr(d, "scan") for d in self.deciders)
+        )
+        self.extras: List[Tuple[int, int, int, int, int]] = []
         self.extra_activations = 0
         self.fp_extra_activations = 0
         self.mitigation_triggers = 0
         self.max_occupancy = 0
         self.pending: List[Tuple[int, object, bool]] = []
-        self.time_now = 0
         self.current_interval = -1
         self.activation_index = 0
         self.attack_activations = 0
         self.first_trigger: Optional[int] = None
-        self.stopped = False
 
-    # -- device mirror (ports of the fast-engine closures) -------------
+    # -- mitigation bookkeeping -----------------------------------------
 
-    def do_activation(self, bank: int, row: int) -> None:
-        sh = self.sh
-        c = self.counters[bank]
-        flips = self.bank_flips[bank]
-        flip_threshold = self.flip_threshold
-        neighbors = sh.neighbors_of.get(row)
-        if neighbors is None:
-            neighbors = sh.neighbors_of[row] = sh.geometry.neighbors(row)
-        c.pop(row, None)
-        for victim in neighbors:
-            before = c.get(victim, 0.0)
-            count = before + 1.0
-            c[victim] = count
-            whole = int(count)
-            if whole > self.max_disturbance:
-                self.max_disturbance = whole
-            if before < flip_threshold <= count:
-                flips.append(
-                    FlipEvent(bank=bank, row=victim, count=whole,
-                              time_ns=self.time_now)
-                )
-        if self.distance2 > 0.0:
-            seconds = sh.second_of.get(row)
-            if seconds is None:
-                seconds = sh.second_of[row] = [
-                    second
-                    for neighbor in neighbors
-                    for second in sh.geometry.neighbors(neighbor)
-                    if second != row
-                ]
-            for victim in seconds:
-                before = c.get(victim, 0.0)
-                count = before + self.distance2
-                c[victim] = count
-                whole = int(count)
-                if whole > self.max_disturbance:
-                    self.max_disturbance = whole
-                if before < flip_threshold <= count:
-                    flips.append(
-                        FlipEvent(bank=bank, row=victim, count=whole,
-                                  time_ns=self.time_now)
-                    )
-
-    def apply_pending(self) -> None:
+    def apply_pending(self, at_record: bool) -> None:
+        """Apply the buffered actions, before the next record when
+        *at_record* (at its timestamp), else at a ``ref`` tick or the
+        end of the trace (at the last replayed record's timestamp)."""
         sh = self.sh
         tele = self.tele
+        pos = self.activation_index
+        if at_record:
+            time_ns = sh.times[pos]
+        else:
+            time_ns = sh.times[pos - 1] if pos else 0
+        interval = self.current_interval
+        extras = self.extras
         for bank, action, was_attack in self.pending:
             self.mitigation_triggers += 1
-            if isinstance(action, RefreshRow):
-                self.do_activation(bank, action.row)
-                cost = 1
-            elif isinstance(action, RecoveryRefresh):
-                cost = 0
-                for aggressor in action.rows:
-                    neighbors = sh.neighbors_of.get(aggressor)
-                    if neighbors is None:
-                        neighbors = sh.neighbors_of[aggressor] = (
-                            sh.geometry.neighbors(aggressor)
-                        )
-                    for victim in neighbors:
-                        self.do_activation(bank, victim)
-                    cost += len(neighbors)
-            elif isinstance(action, ActivateNeighbors):
-                row = action.row
-                neighbors = sh.neighbors_of.get(row)
-                if neighbors is None:
-                    neighbors = sh.neighbors_of[row] = sh.geometry.neighbors(row)
-                for victim in neighbors:
-                    self.do_activation(bank, victim)
-                cost = len(neighbors)
-            else:  # pragma: no cover - future action kinds
-                raise TypeError(f"unknown mitigation action {action!r}")
+            rows = sh.activated_rows(action)
+            for row in rows:
+                extras.append((pos, interval, bank, row, time_ns))
+            cost = len(rows)
             self.extra_activations += cost
             if not was_attack:
                 self.fp_extra_activations += cost
             if tele is not None:
-                tele.on_apply(
-                    bank, action.row, self.current_interval, cost, not was_attack
-                )
+                tele.on_apply(bank, action.row, interval, cost, not was_attack)
         self.pending.clear()
 
     def enqueue(self, bank: int, actions) -> None:
+        """Buffer *actions*; a trigger row counts as an aggressor once an
+        attack record of it has been replayed."""
         tele = self.tele
-        bank_aggressors = self.aggressors[bank]
+        first_attack = self.sh.first_attack()
         pending = self.pending
         for action in actions:
-            pending.append((bank, action, action.trigger_row in bank_aggressors))
+            first = first_attack.get((bank, action.trigger_row))
+            was_attack = first is not None and first < self.activation_index
+            pending.append((bank, action, was_attack))
             if tele is not None:
                 tele.on_trigger(
                     bank, action.row, self.current_interval,
@@ -924,74 +1165,43 @@ class _Lane:
             self.max_occupancy = len(pending)
 
     def refresh_tick(self) -> None:
-        sh = self.sh
         if self.pending:
-            self.apply_pending()
+            self.apply_pending(False)
         self.current_interval += 1
-        rows = sh.refresh_rows(self.current_interval % sh.refint)
-        for c in self.counters:
-            for row in rows:
-                c.pop(row, None)
         for bank, decider in enumerate(self.deciders):
             actions = decider.on_refresh(self.current_interval)
             if actions:
                 self.enqueue(bank, actions)
         if self.pending:
-            self.apply_pending()
+            self.apply_pending(False)
         if self.tele is not None:
             self.tele.on_interval(
                 self.current_interval,
-                self.current_interval * sh.interval_ns,
+                self.current_interval * self.sh.interval_ns,
                 self.activation_index,
                 self.attack_activations,
                 [decider.table_occupancy for decider in self.deciders],
             )
 
     def skip_to(self, target: int) -> None:
-        sh = self.sh
+        """Jump over empty intervals (only when every ``ref`` is a
+        no-op for the deciders; the device pass does the refreshes)."""
         if self.pending:
-            self.apply_pending()
+            self.apply_pending(False)
         first_skipped = self.current_interval + 1
-        span = target - self.current_interval
-        refint = sh.refint
-        if span >= refint:
-            for c in self.counters:
-                c.clear()
+        refint = self.sh.refint
+        if target - self.current_interval >= refint:
             boundary = True
         else:
             lo = (self.current_interval + 1) % refint
-            hi = target % refint
-            wrapped = lo > hi
-            boundary = wrapped or lo == 0
-            rows_per_interval = sh.rows_per_interval
-            sequential = sh.sequential
-            policy = sh.policy
-            for c in self.counters:
-                if not c:
-                    continue
-                doomed = []
-                for row in c:
-                    slot = (
-                        row // rows_per_interval
-                        if sequential
-                        else policy.refresh_slot_of(row)
-                    )
-                    covered = (
-                        (slot >= lo or slot <= hi)
-                        if wrapped
-                        else lo <= slot <= hi
-                    )
-                    if covered:
-                        doomed.append(row)
-                for row in doomed:
-                    del c[row]
+            boundary = lo > target % refint or lo == 0
         if boundary:
             for decider in self.deciders:
                 decider.clear_window()
         self.current_interval = target
         if self.tele is not None:
             self.tele.on_interval_skip(
-                first_skipped, target, target * sh.interval_ns
+                first_skipped, target, target * self.sh.interval_ns
             )
 
     def advance_to(self, interval: int) -> None:
@@ -1003,132 +1213,115 @@ class _Lane:
             while self.current_interval < interval:
                 self.refresh_tick()
 
-    # -- the replay loop ------------------------------------------------
+    # -- the decision pass ----------------------------------------------
 
-    def process_segment(self, start: int, end: int, bank: int, row: int,
-                        is_attack: bool, interval: int) -> None:
+    def decide(self) -> None:
+        """Replay the whole tape through this lane's deciders."""
+        if self.bulk:
+            self.scan()
+            return
         sh = self.sh
-        self.advance_to(interval)
         times = sh.times
         tele = self.tele
         max_acts = sh.max_activations
-        neighbors_of = sh.neighbors_of
-        i = start
-        while i < end:
-            t = times[i]
-            self.time_now = t
-            if tele is not None:
-                tele.now = t
-            if self.pending:
-                self.apply_pending()
-            remaining = end - i
-            if (
-                remaining >= 2
-                and self.can_batch
-                and (self.first_trigger is not None
-                     or self.mitigation_triggers == 0)
-            ):
-                room = -1 if max_acts is None else max_acts - self.activation_index
-                if room != 1:
-                    length = (
-                        remaining if room < 0 or remaining <= room else room
-                    )
-                    if self.deciders:
-                        clean, actions = self.deciders[bank].decide_run(
-                            row, self.current_interval, length
+        deciders = self.deciders
+        can_batch = self.can_batch
+        for start, end, bank, row, is_attack, interval in sh.tape.segments:
+            if interval > self.current_interval:
+                self.advance_to(interval)
+            decider = deciders[bank] if deciders else None
+            i = start
+            while i < end:
+                if tele is not None:
+                    tele.now = times[i]
+                if self.pending:
+                    self.apply_pending(True)
+                remaining = end - i
+                if (
+                    remaining >= 2
+                    and can_batch
+                    and (self.first_trigger is not None
+                         or self.mitigation_triggers == 0)
+                ):
+                    room = -1 if max_acts is None else max_acts - self.activation_index
+                    if room != 1:
+                        length = (
+                            remaining if room < 0 or remaining <= room else room
                         )
-                        done = length if clean == length else clean + 1
-                    else:
-                        actions = ()
-                        done = length
-                    if is_attack:
-                        self.aggressors[bank].add(row)
-                        self.attack_activations += done
-                    c = self.counters[bank]
-                    neighbors = neighbors_of.get(row)
-                    if neighbors is None:
-                        neighbors = neighbors_of[row] = sh.geometry.neighbors(row)
-                    c.pop(row, None)
-                    bump = float(done)
-                    flip_threshold = self.flip_threshold
-                    flips = self.bank_flips[bank]
-                    flips_before = len(flips)
-                    for victim in neighbors:
-                        before = c.get(victim, 0.0)
-                        count = before + bump
-                        c[victim] = count
-                        whole = int(count)
-                        if whole > self.max_disturbance:
-                            self.max_disturbance = whole
-                        if before < flip_threshold <= count:
-                            crossing = flip_threshold - int(before)
-                            flips.append(
-                                FlipEvent(
-                                    bank=bank,
-                                    row=victim,
-                                    count=flip_threshold,
-                                    time_ns=times[i + crossing - 1],
-                                )
+                        if decider is not None:
+                            clean, actions = decider.decide_run(
+                                row, self.current_interval, length
                             )
-                    if len(flips) - flips_before > 1:
-                        # several victims crossed inside one run: the
-                        # reference emits flips in act order, not in
-                        # victim order (timestamps break the tie)
-                        flips[flips_before:] = sorted(
-                            flips[flips_before:], key=lambda f: f.time_ns
-                        )
-                    self.activation_index += done
-                    self.time_now = times[i + done - 1]
-                    if tele is not None:
-                        tele.now = self.time_now
+                            done = length if clean == length else clean + 1
+                        else:
+                            actions = ()
+                            done = length
+                        if is_attack:
+                            self.attack_activations += done
+                        self.activation_index += done
+                        if tele is not None:
+                            tele.now = times[i + done - 1]
+                        if actions:
+                            self.enqueue(bank, actions)
+                        i += done
+                        if max_acts is not None and self.activation_index >= max_acts:
+                            return
+                        continue
+                # per-record path (mirror of the fast engine's tail)
+                if is_attack:
+                    self.attack_activations += 1
+                self.activation_index += 1
+                if decider is not None:
+                    actions = decider.on_activation(row, self.current_interval)
                     if actions:
                         self.enqueue(bank, actions)
-                    i += done
-                    if max_acts is not None and self.activation_index >= max_acts:
-                        self.stopped = True
+                if self.first_trigger is None and self.mitigation_triggers > 0:
+                    self.first_trigger = self.activation_index
+                    if sh.stop_after_first_trigger:
                         return
-                    continue
-            # per-record path (mirror of the fast engine's tail)
-            if is_attack:
-                self.aggressors[bank].add(row)
-                self.attack_activations += 1
-            if self.plain_disturbance:
-                c = self.counters[bank]
-                neighbors = neighbors_of.get(row)
-                if neighbors is None:
-                    neighbors = neighbors_of[row] = sh.geometry.neighbors(row)
-                c.pop(row, None)
-                flip_threshold = self.flip_threshold
-                for victim in neighbors:
-                    before = c.get(victim, 0.0)
-                    count = before + 1.0
-                    c[victim] = count
-                    whole = int(count)
-                    if whole > self.max_disturbance:
-                        self.max_disturbance = whole
-                    if before < flip_threshold <= count:
-                        self.bank_flips[bank].append(
-                            FlipEvent(bank=bank, row=victim, count=whole,
-                                      time_ns=t)
-                        )
-            else:
-                self.do_activation(bank, row)
-            if self.deciders:
-                actions = self.deciders[bank].on_activation(
-                    row, self.current_interval
-                )
-                if actions:
-                    self.enqueue(bank, actions)
-            self.activation_index += 1
-            if self.first_trigger is None and self.mitigation_triggers > 0:
-                self.first_trigger = self.activation_index
-                if sh.stop_after_first_trigger:
-                    self.stopped = True
+                if max_acts is not None and self.activation_index >= max_acts:
                     return
-            if max_acts is not None and self.activation_index >= max_acts:
-                self.stopped = True
-                return
-            i += 1
+                i += 1
+
+    def scan(self) -> None:
+        """The bulk decision pass: each bank's decider scans its whole
+        record stream at once (banks never share decider state), then
+        the triggers are applied in tape order.
+
+        Every trigger is one record's actions, applied before the next
+        record -- at that record's timestamp when it lies in the same
+        interval, otherwise at the ``ref`` tick in between.
+        """
+        sh = self.sh
+        tape = sh.tape
+        triggers = []
+        for bank, decider in enumerate(self.deciders):
+            index, rows, intervals = sh.bank_records(bank)
+            if not len(index):
+                continue
+            for j, actions in decider.scan(rows, intervals):
+                triggers.append((int(index[j]), bank, actions))
+        triggers.sort(key=lambda trigger: trigger[0])
+        records = len(sh.times)
+
+        def interval_of(k: int) -> int:
+            segment = int(_np.searchsorted(tape.starts, k, side="right")) - 1
+            return int(tape.intervals[segment])
+
+        for k, bank, actions in triggers:
+            self.current_interval = interval_of(k)
+            self.activation_index = k + 1
+            self.enqueue(bank, actions)
+            self.apply_pending(
+                k + 1 < records and interval_of(k + 1) == self.current_interval
+            )
+        if triggers and triggers[0][0] + 1 < records:
+            # the record after the first application sets it
+            self.first_trigger = triggers[0][0] + 2
+        self.activation_index = records
+        self.attack_activations = int(tape.lengths[tape.attacks].sum())
+        if tape.segments:
+            self.current_interval = tape.segments[-1][5]
 
     def drain(self) -> None:
         sh = self.sh
@@ -1143,14 +1336,14 @@ class _Lane:
                 while self.current_interval < sh.total_intervals - 1:
                     self.refresh_tick()
         if self.pending:
-            self.apply_pending()
+            self.apply_pending(False)
         if self.tele is not None:
             self.tele.finish(self.activation_index, self.attack_activations)
+        # the decision pass is over: keep its outcome, drop decider state
+        self.table_bytes = self.deciders[0].table_bytes if self.deciders else 0
+        self.deciders = []
 
-    def result(self) -> SimResult:
-        flips: List[FlipEvent] = []
-        for events in self.bank_flips:
-            flips.extend(events)
+    def result(self, max_disturbance: int, flips: List[FlipEvent]) -> SimResult:
         out = SimResult(
             technique=self.technique,
             seed=self.seed,
@@ -1162,13 +1355,310 @@ class _Lane:
         out.fp_extra_activations = self.fp_extra_activations
         out.mitigation_triggers = self.mitigation_triggers
         out.flips = flips
-        out.max_disturbance = self.max_disturbance
+        out.max_disturbance = max_disturbance
         out.intervals_simulated = self.current_interval + 1
         out.first_trigger_activation = self.first_trigger
         out.max_rh_buffer_occupancy = self.max_occupancy
-        if self.deciders:
-            out.table_bytes = self.deciders[0].table_bytes
+        out.table_bytes = self.table_bytes
         return out
+
+
+# ---------------------------------------------------------------------------
+# the device pass: flips and max_disturbance from the tape + sparse ACTs
+# ---------------------------------------------------------------------------
+
+
+def _device_scalar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
+    """The scalar device pass: one counter dict per bank.
+
+    Replays the records the lane consumed and its mitigating ACTs in
+    tape order.  A victim's disturbance is the (run-weighted) number of
+    neighbour ACTs since its last restore -- its own ACT or the periodic
+    refresh of its slot.  Serves Half-Double coupling (whose fractional
+    counts must accumulate one ACT at a time) and the numpy-free install.
+    """
+    times = sh.times
+    num_banks = sh.geometry.num_banks
+    refint = sh.refint
+    counters: List[Dict[int, float]] = [{} for _ in range(num_banks)]
+    bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
+    threshold = lane.flip_threshold
+    distance2 = lane.distance2
+    peak = 0
+    current = -1
+
+    def advance(target: int) -> None:
+        nonlocal current
+        if target <= current:
+            return
+        if target - current >= refint:
+            for c in counters:
+                c.clear()
+        else:
+            for interval in range(current + 1, target + 1):
+                rows = sh.refresh_rows(interval % refint)
+                for c in counters:
+                    if c:
+                        for row in rows:
+                            c.pop(row, None)
+        current = target
+
+    def activate(bank: int, row: int, count: int, first: Optional[int],
+                 time_ns: int) -> None:
+        """*count* ACTs of *row*: records from index *first* on, or one
+        mitigating ACT at *time_ns* (``first is None``)."""
+        nonlocal peak
+        c = counters[bank]
+        c.pop(row, None)
+        crossed = []
+        victims: List[Tuple[int, float]] = [
+            (victim, count) for victim in sh.neighbors(row)
+        ]
+        if distance2 > 0.0:
+            victims += [(victim, distance2) for victim in sh.seconds(row)]
+        for victim, amount in victims:
+            before = c.get(victim, 0.0)
+            after = before + amount
+            c[victim] = after
+            whole = int(after)
+            if whole > peak:
+                peak = whole
+            if before < threshold <= after:
+                offset = threshold - int(before) - 1  # the crossing ACT
+                crossed.append((
+                    offset, victim, threshold if count > 1 else whole,
+                    time_ns if first is None else times[first + offset],
+                ))
+        # several victims crossing inside one run flip in ACT order
+        crossed.sort(key=lambda flip: flip[0])
+        bank_flips[bank].extend(
+            FlipEvent(bank=bank, row=victim, count=whole, time_ns=at)
+            for _, victim, whole, at in crossed
+        )
+
+    extras = lane.extras
+    x = 0
+    done = lane.activation_index
+    for start, end, bank, row, _, interval in sh.tape.segments:
+        if start >= done:
+            break
+        end = min(end, done)
+        while start < end:
+            while x < len(extras) and extras[x][0] <= start:
+                _, at_interval, at_bank, at_row, time_ns = extras[x]
+                advance(at_interval)
+                activate(at_bank, at_row, 1, None, time_ns)
+                x += 1
+            advance(interval)
+            stop = extras[x][0] if x < len(extras) and extras[x][0] < end else end
+            if distance2 > 0.0:
+                for index in range(start, stop):
+                    activate(bank, row, 1, index, 0)
+            else:
+                activate(bank, row, stop - start, start, 0)
+            start = stop
+    for _, at_interval, at_bank, at_row, time_ns in extras[x:]:
+        advance(at_interval)
+        activate(at_bank, at_row, 1, None, time_ns)
+    flips = [flip for events in bank_flips for flip in events]
+    return peak, flips
+
+
+def _count_disturbance(sh: _Shared, threshold, pos, weight, row, interval,
+                       seq, time_ns, keep=None):
+    """Segmented counts over one bank's ACT events -- the columnar
+    device pass.
+
+    Event *e* is ``weight[e]`` ACTs of ``row[e]`` in ``interval[e]``:
+    a run of records starting at tape index ``pos[e]`` (``seq[e] < 0``)
+    or one mitigating ACT applied before record ``pos[e]`` at
+    ``time_ns[e]`` (``seq[e]`` its application order).  Each event
+    restores its own row and adds its weight to every neighbour; a
+    victim's count also restarts at each refresh of its slot.  A
+    threshold crossing inside a run gets its record arithmetically.
+
+    Only victims in *keep* are counted when it is given.  Returns
+    ``(victims, peaks, flips)``: the sorted victims, each one's peak
+    disturbance, and one ``(order, seq, neighbour, victim, time_ns)``
+    sort key per flip.
+    """
+    if not len(pos):
+        return pos, pos, []
+    is_run = seq < 0
+    if not is_run.all():
+        # runs come first and extras in application order, so a stable
+        # sort on the tape position keeps same-position extras in order
+        order = _np.argsort(2 * pos + is_run, kind="stable")
+        pos, weight, row, interval, seq, is_run, time_ns = (
+            column[order]
+            for column in (pos, weight, row, interval, seq, is_run, time_ns)
+        )
+    # entry (e, c): column 0 restores row[e], column c > 0 bumps its
+    # (c - 1)-th neighbour; row-major order is tape order
+    victims = _np.concatenate((row[:, None], sh.neighbor_table(row)), axis=1)
+    valid = victims >= 0
+    if keep is not None:
+        valid &= _np.isin(victims, keep)
+    width = victims.shape[1]
+    index = _np.flatnonzero(valid)
+    victim = victims.ravel()[index]
+    del victims, valid
+    event = (index // width).astype(_np.int32)
+    neighbour = (index % width - 1).astype(_np.int8)
+    del index
+    order = _np.argsort(victim, kind="stable")  # keeps tape order
+    victim, event, neighbour = victim[order], event[order], neighbour[order]
+    del order
+    if not len(victim):
+        return victim, victim, []
+    # a count restarts at its victim's first entry, at every restore and
+    # at every refresh of the victim's slot (a new refresh epoch)
+    epoch = interval[event]
+    epoch -= sh.slots_of(victim)
+    epoch //= sh.refint
+    fresh = neighbour < 0
+    fresh[0] = True
+    fresh[1:] |= (victim[1:] != victim[:-1]) | (epoch[1:] != epoch[:-1])
+    del epoch
+    amount = weight[event]
+    amount[neighbour < 0] = 0
+    after = _np.cumsum(amount, dtype=_np.int64)
+    starts = _np.flatnonzero(fresh)
+    del fresh
+    after -= _np.repeat(
+        after[starts] - amount[starts], _np.diff(_np.append(starts, len(after)))
+    )
+    firsts = _np.flatnonzero(_np.concatenate(([True], victim[1:] != victim[:-1])))
+    peaks = _np.maximum.reduceat(after, firsts)
+    crossed = _np.flatnonzero(after >= threshold)
+    crossed = crossed[after[crossed] - amount[crossed] < threshold]
+    flips = []
+    times = sh.times
+    for k in crossed.tolist():
+        e = int(event[k])
+        before = int(after[k] - amount[k])
+        if is_run[e]:
+            index = int(pos[e]) + threshold - before - 1
+            flips.append((2 * index + 1, -1, int(neighbour[k]),
+                          int(victim[k]), times[index]))
+        else:
+            flips.append((2 * int(pos[e]), int(seq[e]), int(neighbour[k]),
+                          int(victim[k]), int(time_ns[e])))
+    flips.sort()
+    return victim[firsts], peaks, flips
+
+
+def _bank_runs(sh: _Shared, bank: int, done: int):
+    """The record runs of *bank* among the first *done* records."""
+    tape = sh.tape
+    at = _np.flatnonzero((tape.banks == bank) & (tape.starts < done))
+    pos = tape.starts[at]
+    weight = (_np.minimum(pos + tape.lengths[at], done) - pos).astype(_np.int32)
+    return pos, weight, tape.rows[at], tape.intervals[at]
+
+
+def _baseline(sh: _Shared, done: int, threshold):
+    """Per-bank unmitigated device results over the first *done* records,
+    shared by every lane of the grid that replayed that many.
+
+    Each bank's entry is ``(runs, (victims, peaks, flips))``, its
+    record runs being ``(pos, weight, row, interval)``.
+    """
+    key = (done, threshold)
+    cached = sh._baselines.get(key)
+    if cached is None:
+        cached = []
+        for bank in range(sh.geometry.num_banks):
+            runs = _bank_runs(sh, bank, done)
+            no_seq = _np.full(len(runs[0]), -1, dtype=_np.int32)
+            counted = _count_disturbance(sh, threshold, *runs, no_seq, no_seq)
+            cached.append((runs, counted))
+        sh._baselines[key] = cached
+    return cached
+
+
+def _split_runs(pos, weight, cuts):
+    """Split sorted runs ``[pos, pos + weight)`` at every cut strictly
+    inside one; returns the new ``(pos, weight, parent run index)``."""
+    if not len(pos):
+        return pos, weight, pos
+    parent = _np.searchsorted(pos, cuts, side="right") - 1
+    inside = (parent >= 0) & (cuts > pos[parent]) & (
+        cuts < pos[parent] + weight[parent]
+    )
+    cuts = _np.unique(cuts[inside])
+    owner = _np.searchsorted(pos, cuts, side="right") - 1
+    starts = _np.insert(pos, owner + 1, cuts)
+    parent = _np.insert(_np.arange(len(pos)), owner + 1, owner)
+    ends = pos[parent] + weight[parent]
+    ends[:-1] = _np.minimum(ends[:-1], starts[1:])
+    return starts, (ends - starts).astype(_np.int32), parent
+
+
+#: column dtypes of a lane's ``(pos, interval, row, time_ns, seq)`` ACTs
+_EXTRA_DTYPES = ("int64", "int32", "int32", "int64", "int32")
+
+
+def _device_columnar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
+    """The columnar device pass (numpy, distance-1 model).
+
+    Starts from the shared unmitigated baseline of each bank and
+    recounts only the victims the lane's mitigating ACTs touch -- the
+    activated rows and their neighbours -- over the record runs that
+    reach them, split wherever a mitigating ACT lands inside a run.
+    """
+    threshold = lane.flip_threshold
+    baseline = _baseline(sh, lane.activation_index, threshold)
+    by_bank: Dict[int, List[Tuple[int, int, int, int, int]]] = {}
+    for seq, (pos, interval, bank, row, time_ns) in enumerate(lane.extras):
+        by_bank.setdefault(bank, []).append((pos, interval, row, time_ns, seq))
+    peak = 0
+    flips: List[FlipEvent] = []
+    for bank, (runs, counted) in enumerate(baseline):
+        victims, peaks, bank_flips = counted
+        extras = by_bank.get(bank)
+        if extras:
+            x_pos, x_interval, x_row, x_time, x_seq = (
+                _np.asarray(column, dtype=dtype)
+                for column, dtype in zip(zip(*extras), _EXTRA_DTYPES)
+            )
+            touched = _np.union1d(x_row, sh.neighbor_table(x_row))
+            touched = touched[touched >= 0]
+            kept = ~_np.isin(victims, touched)
+            if kept.any():
+                peak = max(peak, int(peaks[kept].max()))
+            recounted = set(touched.tolist())
+            bank_flips = [
+                flip for flip in bank_flips if flip[3] not in recounted
+            ]
+            pos, weight, row, interval = runs
+            at = _np.flatnonzero(
+                _np.isin(row, touched)
+                | _np.isin(sh.neighbor_table(row), touched).any(axis=1)
+            )
+            pos, weight, parent = _split_runs(pos[at], weight[at], x_pos)
+            row, interval = row[at][parent], interval[at][parent]
+            split = len(pos)
+            _, more_peaks, more_flips = _count_disturbance(
+                sh, threshold,
+                _np.concatenate((pos, x_pos)),
+                _np.concatenate((weight, _np.ones(len(x_pos), dtype=_np.int32))),
+                _np.concatenate((row, x_row)),
+                _np.concatenate((interval, x_interval)),
+                _np.concatenate((_np.full(split, -1, dtype=_np.int32), x_seq)),
+                _np.concatenate((_np.zeros(split, dtype=_np.int64), x_time)),
+                keep=touched,
+            )
+            if len(more_peaks):
+                peak = max(peak, int(more_peaks.max()))
+            bank_flips = sorted(bank_flips + more_flips)
+        elif len(peaks):
+            peak = max(peak, int(peaks.max()))
+        flips.extend(
+            FlipEvent(bank=bank, row=victim, count=threshold, time_ns=time_ns)
+            for _, _, _, victim, time_ns in bank_flips
+        )
+    return peak, flips
 
 
 # ---------------------------------------------------------------------------
@@ -1240,28 +1730,31 @@ def _run_plans(
         metrics.counter("fused.segments").add(len(tape.segments))
         metrics.counter("fused.records").add(len(tape.times))
 
-    replay_started = time.perf_counter()
-    active = list(lanes)
-    for segment in tape.segments:
-        start, end, bank, row, is_attack, interval = segment
-        stopped_any = False
-        for lane in active:
-            lane.process_segment(start, end, bank, row, is_attack, interval)
-            if lane.stopped:
-                stopped_any = True
-        if stopped_any:
-            active = [lane for lane in active if not lane.stopped]
-            if not active:
-                break
+    # the decision pass, lane by lane over the whole tape
+    replay_s = drain_s = 0.0
+    for lane in lanes:
+        mark = time.perf_counter()
+        lane.decide()
+        decided = time.perf_counter()
+        lane.drain()
+        replay_s += decided - mark
+        drain_s += time.perf_counter() - decided
+    # the device pass, from the tape columns and each lane's sparse ACTs
+    mark = time.perf_counter()
+    shared.end_decisions()
+    computed: List[SimResult] = []
+    for lane in lanes:
+        if _np is not None and lane.distance2 == 0.0:
+            outcome = _device_columnar(shared, lane)
+        else:
+            outcome = _device_scalar(shared, lane)
+        computed.append(lane.result(*outcome))
+    replay_s += time.perf_counter() - mark
     if profiler is not None:
-        profiler.add("engine:replay", time.perf_counter() - replay_started)
-
-    with section_of(profiler, "engine:drain"):
-        for lane in lanes:
-            lane.drain()
+        profiler.add("engine:replay", replay_s)
+        profiler.add("engine:drain", drain_s)
 
     wall = time.perf_counter() - started
-    computed = [lane.result() for lane in lanes]
     results: List[SimResult] = []
     for plan, index in zip(plans, assign):
         base = computed[index]

@@ -179,14 +179,15 @@ def test_distance2_disturbance_equivalence():
 
 
 def test_mismatched_policy_geometry_rejected():
-    """Both engines validate the policy geometry identically."""
+    """Every engine validates the policy geometry identically."""
     from repro.dram.refresh import SequentialRefresh
     from repro.sim.engine import run_simulation
     from repro.sim.fast_engine import run_simulation_fast
+    from repro.sim.fused_engine import run_simulation_fused
 
     other = small_test_config(rows_per_bank=1024)
     policy = SequentialRefresh(other.geometry)
-    for engine in (run_simulation, run_simulation_fast):
+    for engine in (run_simulation, run_simulation_fast, run_simulation_fused):
         with pytest.raises(ValueError):
             engine(
                 CONFIG, _mixed(0)(), _factory("PARA"), refresh_policy=policy

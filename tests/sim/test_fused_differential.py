@@ -5,17 +5,22 @@ The fused engine replays one decoded trace for a whole
 deduplication.  Its license to exist is this suite: every cell of a
 fused grid must be field-for-field identical (flips included) to a solo
 reference-engine run of that cell, across all registered techniques,
-three seeds, a pbase grid, engine-kwarg variants, and an ingested
+three seeds, a pbase grid, engine-kwarg variants, the device variants
+the lanes branch on (refresh policies, Half-Double coupling, remapped
+rows, flipping thresholds, several refresh windows), and an ingested
 DRAMSim capture.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.config import ddr4_paper_config, small_test_config
+from repro.dram.refresh import all_policies
+from repro.dram.remap import random_remap_geometry
 from repro.mitigations.registry import (
     MODERN_TECHNIQUES,
     technique_class,
@@ -64,21 +69,58 @@ def _flooding(seed, config=CONFIG):
     )
 
 
-@pytest.mark.parametrize("technique", TECHNIQUES, ids=str)
-def test_mixed_grid_equivalence(technique):
+def _variants():
+    """Device variants the lanes branch on, beyond the default model.
+
+    Each is ``(id, config, engine kwargs)``: the three non-sequential
+    refresh policies, Half-Double coupling, physically remapped rows, a
+    flip threshold low enough that the traces actually flip, and a
+    refresh window short enough that the traces cross several.
+    """
+    policies = all_policies(CONFIG.geometry, seed=1)[1:]
+    variants = [
+        (policy.name, CONFIG, {"refresh_policy": policy})
+        for policy in policies
+    ]
+    variants.append(("distance2", CONFIG.scaled(distance2_rate=0.5), {}))
+    remapped = replace(
+        CONFIG, geometry=random_remap_geometry(CONFIG.geometry, pairs=16)
+    )
+    variants.append(("row-remap", remapped, {}))
+    variants.append(("flips", CONFIG.scaled(flip_threshold=300), {}))
+    # RefInt 16: the 48-interval traces span three refresh windows
+    variants.append(("windows", small_test_config(rows_per_bank=128), {}))
+    return variants
+
+
+#: the default model keeps the bare technique id and the full seed x
+#: pbase plane; variants append their id and run a 2 x 2 plane
+GRID_CASES = [
+    pytest.param(technique, CONFIG, {}, SEEDS, PBASE_SCALES, id=str(technique))
+    for technique in TECHNIQUES
+] + [
+    pytest.param(
+        technique, config, kwargs, SEEDS[:2], PBASE_SCALES[1:],
+        id=f"{technique}-{name}",
+    )
+    for name, config, kwargs in _variants()
+    for technique in TECHNIQUES
+]
+
+
+@pytest.mark.parametrize("technique, config, kwargs, seeds, scales", GRID_CASES)
+def test_mixed_grid_equivalence(technique, config, kwargs, seeds, scales):
     """Full seed x pbase plane of each technique vs per-cell reference."""
-    cells = grid_cells(
-        [technique], SEEDS, pbase_scales=PBASE_SCALES, config=CONFIG
-    )
-    assert_grid_equivalent(CONFIG, _mixed(0), cells)
+    cells = grid_cells([technique], seeds, pbase_scales=scales, config=config)
+    assert_grid_equivalent(config, _mixed(0, config=config), cells, **kwargs)
 
 
-@pytest.mark.parametrize("technique", TECHNIQUES, ids=str)
-def test_flooding_grid_equivalence(technique):
-    cells = grid_cells(
-        [technique], SEEDS, pbase_scales=PBASE_SCALES, config=CONFIG
+@pytest.mark.parametrize("technique, config, kwargs, seeds, scales", GRID_CASES)
+def test_flooding_grid_equivalence(technique, config, kwargs, seeds, scales):
+    cells = grid_cells([technique], seeds, pbase_scales=scales, config=config)
+    assert_grid_equivalent(
+        config, _flooding(1, config=config), cells, **kwargs
     )
-    assert_grid_equivalent(CONFIG, _flooding(1), cells)
 
 
 @pytest.mark.fused_smoke
@@ -227,6 +269,20 @@ def test_max_activations_grid(limit):
         CONFIG, _mixed(2), cells, max_activations=limit
     )
     assert all(result.normal_activations <= limit for result in results)
+
+
+def test_exact_refresh_mapping_grid():
+    """TiVaPRoMi lanes given the policy's exact inverse mapping
+    (``refresh_slot_fn``, the Section IV mapping ablation) instead of
+    the sequential ``f_r = r / RowsPI`` assumption."""
+    policy = all_policies(CONFIG.geometry, seed=1)[2]
+    kwargs = (("refresh_slot_fn", policy.refresh_slot_of),)
+    cells = [
+        GridCell(technique=technique, seed=seed, kwargs=kwargs)
+        for technique in ("LiPRoMi", "LoPRoMi", "LoLiPRoMi")
+        for seed in SEEDS[:2]
+    ]
+    assert_grid_equivalent(CONFIG, _mixed(1), cells, refresh_policy=policy)
 
 
 def test_multi_bank_grid_equivalence(two_bank_config):

@@ -13,14 +13,24 @@ bit-exact differential suite cannot name individually:
   between refreshes, locks never release, drops never decrease, and the
   TWiCe lifetime counters stay strictly below the trigger threshold;
 * cell slicing -- any cell of a fused grid equals a solo fast-engine
-  run with the same (technique, seed, pbase).
+  run with the same (technique, seed, pbase);
+* device-pass agreement -- the columnar device pass and the scalar
+  device function give the same flips and ``max_disturbance`` for any
+  tape and any sparse list of mitigating ACTs.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import small_test_config
+from repro.dram.refresh import all_policies
+from repro.mitigations.base import (
+    ActivateNeighbors,
+    RecoveryRefresh,
+    RefreshRow,
+)
 from repro.mitigations.registry import (
     make_factory,
     make_mitigation,
@@ -31,10 +41,17 @@ from repro.sim.fused_engine import (
     _FusedCaPRoMiDecider,
     _FusedTiVaDecider,
     _FusedTWiCeDecider,
+    _Lane,
+    _Shared,
+    _Tape,
+    _device_columnar,
+    _device_scalar,
+    _np,
     grid_cells,
 )
 from repro.traces.attacker import AttackSpec
 from repro.traces.mixer import build_trace
+from repro.traces.record import Trace, TraceMeta, TraceRecord
 from repro.traces.workload import WorkloadParams
 
 CONFIG = small_test_config()
@@ -193,3 +210,120 @@ def test_fused_cell_slice_equals_solo_fast_run(
             seed=cell.seed,
         )
         assert solo.as_dict() == result.as_dict()
+
+
+#: one run of identical records: bank, row, length, attack flag and the
+#: number of refresh intervals to advance before it
+device_runs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),   # bank (mod num_banks)
+        st.integers(min_value=0, max_value=63),  # row
+        st.integers(min_value=1, max_value=25),  # run length
+        st.booleans(),                           # is_attack
+        st.integers(min_value=0, max_value=3),   # interval step
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+#: one buffered mitigating action: where it lands (a fraction of the
+#: tape and of the interval span allowed there) and what it activates
+device_actions = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),  # tape position
+        st.floats(min_value=0.0, max_value=1.0),  # interval within reach
+        st.integers(min_value=0, max_value=2),    # bank
+        st.sampled_from(["row", "neighbors", "recovery"]),
+        st.lists(st.integers(min_value=0, max_value=63), min_size=1,
+                 max_size=3),
+    ),
+    max_size=12,
+)
+
+
+def _device_input(config, policy, runs, actions, prefix, tail):
+    """A tape plus a decision lane holding a consistent sparse ACT list.
+
+    Each action is applied at a tape position *pos* in an interval the
+    lane can be in there: from the interval of record ``pos - 1`` to that
+    of record ``pos`` (a ``ref`` tick in between), or up to the last
+    interval after the tape.  The lane replays the first *prefix*
+    fraction of the records, like a cell stopped early.
+    """
+    geometry = config.geometry
+    interval_ns = 1_000
+    records = []
+    interval = 0
+    for bank, row, length, is_attack, step in runs:
+        interval += step
+        offset = records[-1].time_ns + 1 if records and not step else (
+            interval * interval_ns
+        )
+        for index in range(length):
+            time_ns = min(offset + index, (interval + 1) * interval_ns - 1)
+            records.append(TraceRecord(
+                time_ns, bank % geometry.num_banks, row, is_attack
+            ))
+    total = interval + 1 + tail
+    trace = Trace(TraceMeta(total, interval_ns, geometry.num_banks), records)
+    shared = _Shared(geometry, policy, _Tape(trace), False, None)
+    lane = _Lane(shared, None, 0, config, None)
+    done = round(prefix * len(records))
+    lane.activation_index = done
+    times = shared.times
+    intervals = [time_ns // interval_ns for time_ns in times]
+    applied = []
+    for where, when, bank, kind, rows in actions:
+        pos = round(where * done)
+        low = intervals[pos - 1] if pos else 0
+        high = intervals[pos] if pos < done else total - 1
+        applied.append((pos, low + round(when * (high - low)), bank, kind, rows))
+    applied.sort(key=lambda action: action[:2])
+    for pos, at_interval, bank, kind, rows in applied:
+        if kind == "row":
+            action = RefreshRow(row=rows[0], trigger_row=rows[-1])
+        elif kind == "neighbors":
+            action = ActivateNeighbors(row=rows[0])
+        else:
+            action = RecoveryRefresh(rows=tuple(rows), trigger_row=rows[0])
+        if pos < done and at_interval == intervals[pos]:
+            time_ns = times[pos]
+        else:
+            time_ns = times[pos - 1] if pos else 0
+        for row in shared.activated_rows(action):
+            lane.extras.append(
+                (pos, at_interval, bank % geometry.num_banks, row, time_ns)
+            )
+    return shared, lane
+
+
+@pytest.mark.skipif(_np is None, reason="the columnar pass needs numpy")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    banks=st.integers(min_value=1, max_value=3),
+    subarrays=st.sampled_from([1, 4]),
+    threshold=st.integers(min_value=3, max_value=40),
+    policy_index=st.integers(min_value=0, max_value=3),
+    runs=device_runs,
+    actions=device_actions,
+    prefix=st.sampled_from([1.0, 1.0, 0.5]),
+    tail=st.integers(min_value=0, max_value=20),
+)
+def test_columnar_device_pass_equals_scalar(
+    banks, subarrays, threshold, policy_index, runs, actions, prefix, tail
+):
+    """Multi-bank tapes whose runs cross the flip threshold mid-run, with
+    mitigating ACTs on both sides of ``ref`` ticks (``RecoveryRefresh``
+    fan-out included), on subarray-split geometries under every refresh
+    policy: the numpy segmented counts equal the per-ACT counter dicts."""
+    config = small_test_config(
+        rows_per_bank=64, rows_per_interval=4, num_banks=banks,
+        flip_threshold=threshold, subarrays_per_bank=subarrays,
+    )
+    policy = all_policies(config.geometry, seed=3)[policy_index]
+    shared, lane = _device_input(config, policy, runs, actions, prefix, tail)
+    peak, flips = _device_columnar(shared, lane)
+    scalar_peak, scalar_flips = _device_scalar(shared, lane)
+    assert peak == scalar_peak
+    assert flips == scalar_flips

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import SimConfig
 
 
 class TestParser:
@@ -71,7 +72,14 @@ class TestHeavyCommands:
         assert main(["table3", "--intervals", "16", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "LoLiPRoMi" in out
-        assert "unmitigated flips" in out
+        config = SimConfig()
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("unmitigated flips: ")
+        )
+        assert "max disturbance " in line
+        assert f"of flip threshold {config.flip_threshold:,};" in line
+        assert f"16 of {config.geometry.refint:,} refresh intervals" in line
 
     def test_fig4_small(self, capsys):
         assert main(["fig4", "--intervals", "16", "--seeds", "1"]) == 0
