@@ -1,12 +1,12 @@
-"""Adversarial fuzzer throughput against the fast-engine floor.
+"""Adversarial fuzzer throughput against the raw-evaluation floor.
 
 The red-team search (``repro.adversary``) spends essentially all of
-its time inside :func:`evaluate_genome` -- one fast-engine run per
-eval seed.  This bench measures end-to-end search throughput
-(evaluations/sec) and holds the orchestration cost per evaluation
-(mutation, dedup, selection, frontier bookkeeping) to a bounded
-multiple of the raw fast-engine evaluation cost, so the fuzzer can
-never silently decay to reference-engine speeds.
+its time inside :func:`evaluate_genome` -- one run of the default
+(fused) engine per eval seed.  This bench measures end-to-end search
+throughput (evaluations/sec) and holds the orchestration cost per
+evaluation (mutation, dedup, selection, frontier bookkeeping) to a
+bounded multiple of the raw evaluation cost on the same engine, so the
+fuzzer can never silently decay to reference-engine speeds.
 
 Runs on ``small_test_config`` deliberately: the search is an inner
 loop meant for many short engine runs, and the overhead ratio -- not
@@ -56,7 +56,7 @@ def test_adversary_search_throughput(benchmark):
     corpus = seed_corpus(config)
 
     def compute():
-        # the floor: corpus genomes straight through the fast engine,
+        # the floor: corpus genomes straight through the engine,
         # exactly as run_search would evaluate them, minus the search
         started = time.perf_counter()
         raw_evals = 0
@@ -88,7 +88,7 @@ def test_adversary_search_throughput(benchmark):
     benchmark.extra_info["raw_evals_per_s"] = round(raw_rate, 1)
     benchmark.extra_info["search_evals_per_s"] = round(search_rate, 1)
     report = (
-        "=== adversary search throughput vs raw fast-engine floor ===\n"
+        "=== adversary search throughput vs raw evaluation floor ===\n"
         + render_table(
             ("path", "evaluations", "seconds", "evals/s"),
             [

@@ -10,8 +10,8 @@ contract's bit-identical-aggregates clause at benchmark scale, and
 holds the queue's **per-shard overhead** (total wall-clock delta over
 the pool, divided by the shard count) under a fixed budget.
 
-The grid is deliberately small and the engine fast, so the measurement
-is dominated by transport -- publish, claim, heartbeat, result
+The grid is deliberately small (one per-cell reference-engine shard
+per technique and seed), so the measurement is dominated by transport -- publish, claim, heartbeat, result
 round-trip, poll latency -- not simulation.  Worker-process startup is
 part of the price (the pool pays it too) and is included.
 """
@@ -51,7 +51,7 @@ def test_queue_executor_overhead(benchmark, tmp_path):
     def campaign(executor):
         return run_campaign(
             config, INTERVALS, techniques=TECHNIQUES, seeds=SEEDS,
-            workers=2, engine="fast", executor=executor,
+            workers=2, engine="reference", executor=executor,
         )
 
     def compute():
@@ -77,7 +77,7 @@ def test_queue_executor_overhead(benchmark, tmp_path):
     benchmark.extra_info["per_shard_overhead_s"] = round(per_shard, 3)
     report = (
         f"=== queue executor vs local pool, {SHARDS} shards x "
-        f"{INTERVALS} intervals (fast engine, 2 workers each) ===\n"
+        f"{INTERVALS} intervals (reference engine, 2 workers each) ===\n"
         + render_table(
             ("shards", "pool", "queue", "overhead/shard", "budget"),
             [(

@@ -14,7 +14,7 @@ Fitness is what the paper's Section IV tables measure from the defence
 side, flipped to the attacker's view: the number of activations the
 pattern lands before the mitigation first fires (escaped runs score
 their full activation count).  Candidates are evaluated on pure-attack
-traces through the standard engines (fast by default) with
+traces through the standard engines (fused by default) with
 ``stop_after_first_trigger``, fanned over a process pool via
 :func:`repro.sim.parallel.parallel_map`.
 
@@ -76,7 +76,7 @@ class SearchSettings:
     offspring: int = 8
     eval_seeds: int = 2
     windows: int = 2
-    engine: str = "fast"
+    engine: str = "fused"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -112,13 +112,10 @@ def evaluate_genome(job: EvalJob) -> Dict[str, Any]:
     Module-level so :func:`repro.sim.parallel.parallel_map` can ship it
     to worker processes.  The trace seed is derived from the eval seed
     *and* the genome key, so distinct genomes never share mixing noise
-    while reruns of the same genome are reproducible.
-
-    ``engine="fused"`` switches to the many-seeds-per-genome grid
-    evaluation (see :func:`_evaluate_genome_fused`).
+    while reruns of the same genome are reproducible.  Every engine
+    returns the same fitness; the fused engine reads each trace only a
+    block past the first trigger.
     """
-    if job.engine == "fused":
-        return _evaluate_genome_fused(job)
     run = get_engine(job.engine)
     factory = make_factory(job.technique)
     acts_to_trigger: List[Optional[int]] = []
@@ -141,41 +138,6 @@ def evaluate_genome(job: EvalJob) -> Dict[str, Any]:
         acts_to_trigger.append(result.first_trigger_activation)
         total_acts.append(result.attack_activations)
     return {"acts_to_trigger": acts_to_trigger, "total_acts": total_acts}
-
-
-def _evaluate_genome_fused(job: EvalJob) -> Dict[str, Any]:
-    """Fused evaluation: every eval seed rides one trace replay.
-
-    The fused grid shares one decode across its cells, which requires
-    one fixed trace -- so the genome compiles to a single trace (trace
-    seed derived from the genome key alone) and the eval seeds vary
-    only the mitigation RNG.  That is the fixed-trace comparison
-    ``run_campaign(trace_path=...)`` already documents, and the point
-    of many-seeds-per-genome: fitness variance measures the defense's
-    randomness, not the attack's mixing noise.  Fitness values
-    therefore differ from the per-seed-trace engines ("reference",
-    "fast") when ``eval_seeds > 1``; a search checkpoint pins its
-    engine, so the two modes never mix within one search.
-    """
-    from repro.sim.fused_engine import GridCell, run_simulation_grid
-
-    trace = build_trace(
-        job.config,
-        job.total_intervals,
-        benign_params=None,
-        attacks=job.genome.compile(job.config, job.total_intervals),
-        seed=derive_seed(0, "adversary-trace", job.genome.key()),
-    )
-    cells = [GridCell(technique=job.technique, seed=seed) for seed in job.seeds]
-    results = run_simulation_grid(
-        job.config, trace, cells, stop_after_first_trigger=True
-    )
-    return {
-        "acts_to_trigger": [
-            result.first_trigger_activation for result in results
-        ],
-        "total_acts": [result.attack_activations for result in results],
-    }
 
 
 @dataclass

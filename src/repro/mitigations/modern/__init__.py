@@ -21,9 +21,9 @@ mitigation rather than a snapshot:
   configurable counter-table wrapper (arXiv:2404.16256).
 
 Every class implements the same :class:`~repro.mitigations.base.Mitigation`
-protocol as the 2021 techniques and passes the reference = fast = fused
+protocol as the 2021 techniques and passes the reference = fused
 differential harness.  The deterministic counters additionally expose
-``observe_run`` (the run-batching contract of the fast engine's
+``observe_run`` (the run-batching contract of the fused engine's
 ``decide_run``) so fused campaign grids stay fast.
 """
 

@@ -40,7 +40,7 @@ class BufferedRandom:
 
     Mersenne-Twister output is a fixed sequence, so the *k*-th
     ``random()`` value is identical whether drawn eagerly or in a
-    pre-filled block -- which lets the fast simulation engine bulk-draw
+    pre-filled block -- which lets the fused simulation engine bulk-draw
     trigger decisions per chunk and still match the reference engine
     draw-for-draw.
 

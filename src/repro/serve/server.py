@@ -12,8 +12,8 @@ up:
   one shard while the event loop keeps every other connection live.
   The evaluation itself is the fused grid engine
   (:func:`~repro.sim.fused_engine.run_simulation_grid`) by default --
-  one trace decode serves the whole cell grid -- with ``fast`` /
-  ``reference`` per-cell fallbacks that stream verdicts as they finish.
+  one trace decode serves the whole cell grid -- with a ``reference``
+  per-cell fallback that streams verdicts as they finish.
 * **Shared ingest cache.**  Uploads are spooled byte-for-byte, so the
   content digest (and therefore the PR5
   :class:`~repro.traces.ingest.cache.IngestCache` key) is identical to

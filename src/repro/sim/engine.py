@@ -140,27 +140,22 @@ def run_simulation(
 
 
 #: engine names accepted by :func:`get_engine` (and the CLI ``--engine`` flag)
-ENGINE_NAMES = ("reference", "fast", "fused")
+ENGINE_NAMES = ("reference", "fused")
 
 
 def get_engine(name: str):
     """Resolve an engine name to its ``run_simulation``-compatible function.
 
-    ``"reference"`` is the canonical per-record loop above; ``"fast"``
-    is the batched engine of :mod:`repro.sim.fast_engine`; ``"fused"``
-    is the structure-of-arrays grid engine of
+    ``"reference"`` is the canonical per-record loop above, the oracle;
+    ``"fused"`` is the structure-of-arrays grid engine of
     :mod:`repro.sim.fused_engine` (this resolves its single-cell
     wrapper -- campaign callers use :func:`repro.sim.fused_engine.
     run_simulation_grid` directly to share one trace decode across the
-    whole cell grid).  All engines are kept field-for-field
-    result-identical by the differential test harness.
+    whole cell grid).  The two are kept field-for-field result-identical
+    by the differential test harness.
     """
     if name == "reference":
         return run_simulation
-    if name == "fast":
-        from repro.sim.fast_engine import run_simulation_fast
-
-        return run_simulation_fast
     if name == "fused":
         from repro.sim.fused_engine import run_simulation_fused
 

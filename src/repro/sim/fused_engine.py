@@ -1,21 +1,24 @@
 """Structure-of-arrays fused engine: one trace pass, a whole cell grid.
 
-The paper's headline numbers are *campaigns*: the same activation trace
-replayed under nine techniques, several seeds, and a pbase grid.  The
-fast engine (:mod:`repro.sim.fast_engine`) evaluates one
-``(technique, seed)`` pair per call, so a campaign decodes and replays
-the identical trace once per cell.  This engine decodes the trace
-**once** into structure-of-arrays form and evaluates the entire
-``(technique, seed, pbase)`` cell grid against it.
+The production engine, kept field-for-field result-identical to the
+pure-python reference loop of :mod:`repro.sim.engine`.  The paper's
+headline numbers are *campaigns*: the same activation trace replayed
+under nine techniques, several seeds, and a pbase grid.  This engine
+decodes the trace **once** into structure-of-arrays form and evaluates
+the entire ``(technique, seed, pbase)`` cell grid against it; a single
+run is the one-cell grid.
 
 Layout and strategy
 -------------------
 
-* **SoA trace tape** -- the record stream is decoded once into parallel
+* **SoA trace tape** -- the record stream is decoded into parallel
   record columns plus a precomputed run-length *segment schedule*
   (maximal runs of identical records, split at refresh-interval
   boundaries).  Segmentation is cell-independent: the refresh clock is
   driven purely by record timestamps, so every cell shares one tape.
+  A run that may stop early (``stop_after_first_trigger``,
+  ``max_activations``) decodes the tape in blocks as its lanes reach
+  them, so a lazy trace generates only what the run reads.
 * **Decision pass** -- mitigations see only the ACT stream and ``ref``
   ticks, never device state, so each computed cell's *lane* walks the
   segment schedule driving only its deciders.  It keeps the mitigation
@@ -24,7 +27,9 @@ Layout and strategy
   row, timestamp and its position among the records and ``ref`` ticks.
   Per-cell RNG streams derive from the existing
   ``derive_seed(seed, "mitigation", bank)`` scheme, so every lane is
-  bit-identical to a solo reference-engine run.
+  bit-identical to a solo reference-engine run.  Empty intervals are
+  skipped in one step when every decider's ``on_refresh`` is
+  decision-free.
 * **Device pass** -- flips and ``max_disturbance`` follow afterwards
   from the tape plus that sparse ACT list.  A victim's disturbance is
   the run-weighted number of neighbour ACTs since its last restore (its
@@ -32,24 +37,29 @@ Layout and strategy
   columnar pass of segmented counts over the run-weighted segments, one
   bank at a time: the unmitigated baseline is computed once per tape
   and each lane recounts only the victims its mitigating ACTs touch.
-  Without numpy, and under Half-Double coupling (``distance2_rate >
-  0``, whose fractional counts accumulate one ACT at a time), one
-  scalar device function replays the same input through counter dicts.
+  Without numpy, under Half-Double coupling (``distance2_rate > 0``,
+  whose fractional counts accumulate one ACT at a time), and for runs
+  that stop early (whose tape is read block by block), one scalar
+  device function replays the same input through counter dicts.
 * **Cell dedup** -- mitigation classes declare ``consumes_rng`` /
   ``consumes_pbase`` traits.  TWiCe and CRA consume neither, so their
   seed x pbase plane collapses to one computed cell; PARA, ProHit and
   MRLoc ignore ``pbase``, collapsing that axis.  Results are replicated
   to the requested cells with the ``seed`` field fixed up.
-* **Vectorised deciders** -- the probabilistic techniques pre-draw their
+* **Batched deciders** -- the probabilistic techniques pre-draw their
   Mersenne-Twister ``random()`` values in blocks (the *k*-th draw is the
-  same value eagerly or batched) and scan them as numpy arrays.  On
+  same value eagerly or batched; PARA rewinds its generator before the
+  ``randrange`` of a trigger) and scan them as numpy arrays.  A run of
+  identical records is decided in one step: a row's trigger
+  probability is constant between triggers within an interval.  On
   short runs PARA and the three TiVaPRoMi variants scan a bank's whole
-  record stream at once (their trigger probability is fixed per record
-  between triggers) and take one scalar step per trigger, and the
+  record stream at once and take one scalar step per trigger, and the
   unmitigated lane skips the decision walk altogether.  The table-based
   techniques (TWiCe, CRA, CaPRoMi) collapse a run of ``n`` identical
   activations into one arithmetic update; ProHit and MRLoc detect their
-  steady table state and scan the remaining draws in bulk.
+  steady table state and scan the remaining draws in bulk.  Any other
+  technique runs as its real ``Mitigation`` object, one record at a
+  time.
 
 Exact equivalence to the reference engine on every cell is the
 non-negotiable invariant, enforced by ``tests/sim/test_fused_differential.py``
@@ -64,7 +74,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the draw scans; the scalar fallback is exact
     import numpy as _np
@@ -74,7 +85,8 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
 from repro.config import DRAMGeometry, SimConfig
 from repro.controller.controller import MitigationFactory
 from repro.core.capromi import CaPRoMi
-from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi
+from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi, TiVaPRoMiBase
+from repro.core.weights import linear_weight, log_weight, trigger_probability
 from repro.dram.disturbance import FlipEvent
 from repro.dram.refresh import RefreshPolicy, SequentialRefresh
 from repro.mitigations.base import (
@@ -94,21 +106,30 @@ from repro.mitigations.registry import (
 )
 from repro.mitigations.twice import TWiCe, _Entry
 from repro.rng import derive_seed
-from repro.sim.fast_engine import (
-    _SKIP_THRESHOLD,
-    _GenericDecider,
-    _PARADecider,
-    _RunMethodDecider,
-    _TiVaPRoMiDecider,
-)
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
 from repro.telemetry.profiler import section_of
 from repro.traces.record import Trace
 
-#: block size for the pre-drawn ``random()`` buffers of the fused
-#: deciders (matches the fast engine's TiVaPRoMi block)
+#: block size for the pre-drawn ``random()`` buffers of the deciders
 _BLOCK = 4096
+
+#: PARA's block: a trigger replays the consumed part of the block to
+#: rewind its generator, so a short block keeps that replay cheap
+_PARA_BLOCK = 256
+
+#: records decoded per tape read (and per chunk of a whole-trace
+#: decode): a run that stops early reads at most one block past the run
+#: of records it stops in
+_TAPE_BLOCK = 32
+
+#: draw spans shorter than this are scanned in Python, where numpy's
+#: per-call overhead would exceed the loop
+_NUMPY_SCAN_MIN = 64
+
+#: minimum number of empty intervals before the span short-circuit is
+#: cheaper than ticking through them
+_SKIP_THRESHOLD = 4
 
 #: mean records per segment below which lanes scan whole banks in bulk:
 #: on one-record runs (the paper's mixed workload, 1.002) a bulk scan
@@ -213,59 +234,157 @@ def _plan_cell(cell: GridCell, base_config: SimConfig) -> _Plan:
 # ---------------------------------------------------------------------------
 
 
+class _Columns(NamedTuple):
+    """The segment schedule as numpy columns, one entry per segment."""
+
+    starts: Any
+    lengths: Any
+    banks: Any
+    rows: Any
+    attacks: Any
+    intervals: Any
+
+
 class _Tape:
-    """The decoded trace: SoA record columns plus the segment schedule.
+    """The decoded trace: record timestamps plus the segment schedule.
 
     ``segments`` is a list of ``(start, end, bank, row, is_attack,
     interval)`` tuples -- maximal runs of identical records that never
-    cross a refresh-interval boundary, exactly the runs the fast engine
-    discovers by peeking ahead.  ``interval`` is the running maximum of
-    the record intervals: the interval a lane is in while it replays the
-    segment (a lane's refresh clock never runs backwards).  With numpy
-    the schedule is also kept as columns (``starts``, ``lengths``,
-    ``banks``, ``rows``, ``attacks``, ``intervals``) for the bulk scans
-    and the columnar device pass.
+    cross a refresh-interval boundary.  ``interval`` is the running
+    maximum of the record intervals: the interval a lane is in while it
+    replays the segment (a lane's refresh clock never runs backwards).
+
+    Records are decoded on demand: :meth:`walk` reads blocks of
+    ``_TAPE_BLOCK`` records as a decision walk reaches them, so a run
+    that stops early makes a lazy trace generate only the blocks it
+    reads, and :meth:`read` with no count decodes everything left.  The
+    last run read stays *open* -- out of ``segments`` -- until a
+    differing record or the end of the trace closes it, so the schedule
+    never depends on where the blocks fall.  With numpy, a tape decoded
+    whole also keeps the schedule as ``columns`` for the bulk scans and
+    the columnar device pass.
     """
 
     __slots__ = (
-        "times", "segments", "interval_ns", "total_intervals", "starts",
-        "lengths", "banks", "rows", "attacks", "intervals",
+        "times", "segments", "interval_ns", "total_intervals", "_records",
+        "_banks", "_rows", "_attacks", "_scanned", "_open", "_key",
+        "_ceiling", "columns",
     )
 
     def __init__(self, trace: Trace):
         meta = trace.meta
         self.interval_ns = meta.interval_ns
         self.total_intervals = meta.total_intervals
-        times: List[int] = []
-        banks: List[int] = []
-        rows: List[int] = []
-        attacks: List[bool] = []
-        for record in trace:
-            times.append(record[0])
-            banks.append(record[1])
-            rows.append(record[2])
-            attacks.append(record[3])
-        self.times = times
-        self.starts = self.lengths = self.banks = self.rows = None
-        self.attacks = self.intervals = None
-        if _np is None:
-            self.segments = self._segment(times, banks, rows, attacks)
-            return
-        self._columns(times, banks, rows, attacks)
-        begins = self.starts.tolist()
-        self.segments = [  # sharing the decoded int objects
-            (start, end, banks[start], rows[start], attacks[start], interval)
-            for start, end, interval in zip(
-                begins, begins[1:] + [len(times)], self.intervals.tolist()
-            )
-        ]
+        self._records: Optional[Iterator] = iter(trace)
+        self.times: List[int] = []
+        self._banks: List[int] = []
+        self._rows: List[int] = []
+        self._attacks: List[bool] = []
+        self.segments: List[Tuple[int, int, int, int, bool, int]] = []
+        self._scanned = 0  # records segmented so far
+        self._open = 0  # first record of the open run
+        self._key: Optional[Tuple] = None  # its (bank, row, attack, interval)
+        self._ceiling = 0  # its running-maximum interval
+        self.columns: Optional[_Columns] = None
 
-    def _columns(self, times, banks, rows, attacks) -> None:
+    @property
+    def complete(self) -> bool:
+        """Whether every record is decoded and every segment closed."""
+        return self._records is None
+
+    def read(self, count: Optional[int] = None) -> bool:
+        """Decode up to *count* more records (everything left when
+        ``None``); ``False`` once the tape is complete."""
+        records = self._records
+        if records is None:
+            return False
+        fresh = not self.times
+        while True:
+            want = _TAPE_BLOCK if count is None else count
+            block = list(islice(records, want))
+            if block:
+                times, banks, rows, attacks = zip(*block)
+                self.times.extend(times)
+                self._banks.extend(banks)
+                self._rows.extend(rows)
+                self._attacks.extend(attacks)
+            if len(block) < want:
+                self._records = None
+                break
+            if count is not None:
+                break
+        if fresh and self._records is None and _np is not None:
+            self._segment_columns()
+        else:
+            self._segment()
+        if self._records is None:
+            # the closed segments share these decoded int objects
+            self._banks = self._rows = self._attacks = []
+        return True
+
+    def walk(self):
+        """The segment schedule, read block by block as it is walked."""
+        if self.complete:
+            return iter(self.segments)
+        return self._walk()
+
+    def _walk(self):
+        k = 0
+        while True:
+            # a read that ends the trace may rebuild ``segments`` whole
+            if k < len(self.segments):
+                yield self.segments[k]
+                k += 1
+            elif not self.read(_TAPE_BLOCK):
+                return
+
+    def _segment(self) -> None:
+        """Extend the schedule over the records read since the last
+        call, closing every run a later record (or the end of the trace)
+        bounds."""
+        times = self.times
+        n = len(times)
+        scanned = self._scanned
+        interval_ns = self.interval_ns
+        segments = self.segments
+        start = self._open
+        key = self._key
+        if key is None:
+            bank = row = attack = interval = None
+        else:
+            bank, row, attack, interval = key
+        ceiling = self._ceiling
+        for i, b, r, a, time_ns in zip(
+            range(scanned, n), self._banks[scanned:], self._rows[scanned:],
+            self._attacks[scanned:], times[scanned:],
+        ):
+            iv = time_ns // interval_ns
+            if b != bank or r != row or a != attack or iv != interval:
+                if i:  # close the previous run
+                    segments.append((start, i, bank, row, attack, ceiling))
+                    if iv > ceiling:
+                        ceiling = iv
+                else:
+                    ceiling = iv
+                start = i
+                bank, row, attack, interval = b, r, a, iv
+        if start < n and self.complete:
+            segments.append((start, n, bank, row, attack, ceiling))
+            start = n
+        self._scanned = n
+        self._open = start
+        if n:
+            self._key = (bank, row, attack, interval)
+        self._ceiling = ceiling
+
+    def _segment_columns(self) -> None:
+        """:meth:`_segment` of a whole trace decoded at once, vectorised."""
+        times = self.times
         n = len(times)
         ta = _np.asarray(times, dtype=_np.int64)
-        ba = _np.asarray(banks, dtype=_np.int32)
-        ra = _np.asarray(rows, dtype=_np.int32)
-        aa = _np.asarray(attacks, dtype=bool)
+        ba = _np.asarray(self._banks, dtype=_np.int32)
+        ra = _np.asarray(self._rows, dtype=_np.int32)
+        aa = _np.asarray(self._attacks, dtype=bool)
         iv = ta // self.interval_ns
         change = _np.ones(n, dtype=bool)
         change[1:] = (
@@ -275,87 +394,293 @@ class _Tape:
             | (iv[1:] != iv[:-1])
         )
         starts = _np.flatnonzero(change)
-        self.starts = starts
-        self.lengths = _np.diff(_np.append(starts, n)).astype(_np.int32)
-        self.banks = ba[starts]
-        self.rows = ra[starts]
-        self.attacks = aa[starts]
-        self.intervals = _np.maximum.accumulate(iv[starts]).astype(_np.int32)
-
-    def _segment(self, times, banks, rows, attacks):
-        n = len(times)
-        if n == 0:
-            return []
-        interval_ns = self.interval_ns
-        segments = []
-        start = 0
-        key = (banks[0], rows[0], attacks[0], times[0] // interval_ns)
-        ceiling = key[3]
-        for i in range(1, n):
-            nxt = (banks[i], rows[i], attacks[i], times[i] // interval_ns)
-            if nxt != key:
-                segments.append((start, i) + key[:3] + (ceiling,))
-                start = i
-                key = nxt
-                ceiling = max(ceiling, key[3])
-        segments.append((start, n) + key[:3] + (ceiling,))
-        return segments
+        intervals = _np.maximum.accumulate(iv[starts]).astype(_np.int32)
+        self.columns = _Columns(
+            starts, _np.diff(_np.append(starts, n)).astype(_np.int32),
+            ba[starts], ra[starts], aa[starts], intervals,
+        )
+        begins = starts.tolist()
+        banks = self._banks
+        rows = self._rows
+        attacks = self._attacks
+        self.segments = [
+            (start, end, banks[start], rows[start], attacks[start], interval)
+            for start, end, interval in zip(
+                begins, begins[1:] + [n], intervals.tolist()
+            )
+        ]
+        self._scanned = self._open = n
 
 
 # ---------------------------------------------------------------------------
-# fused deciders (all bit-exact ports -- see tests/sim/test_fused_differential)
+# deciders (all bit-exact ports -- see tests/sim/test_fused_differential)
 # ---------------------------------------------------------------------------
 
 
-class _NumpyScanMixin:
-    """Lazy numpy mirror of a pre-drawn ``random()`` block."""
+class _GenericDecider:
+    """Adapter driving a real :class:`Mitigation` object.
+
+    Used for techniques without a specialised decider (any user-supplied
+    factory, and the base of the table deciders): decisions are made by
+    the reference implementation itself, so equivalence is by
+    construction.
+    """
+
+    __slots__ = ("mitigation", "trivial_refresh")
+
+    def __init__(self, mitigation: Mitigation):
+        self.mitigation = mitigation
+        # a mitigation that inherits the base no-op on_refresh has no
+        # refresh-time state at all, so empty intervals can be skipped
+        self.trivial_refresh = (
+            type(mitigation).on_refresh is Mitigation.on_refresh
+        )
+
+    def attach_telemetry(self, telemetry) -> None:
+        # the wrapped reference mitigation owns the technique hooks
+        self.mitigation.telemetry = telemetry
+
+    @property
+    def name(self) -> str:
+        return self.mitigation.name
+
+    @property
+    def table_bytes(self) -> int:
+        return self.mitigation.table_bytes
+
+    @property
+    def table_occupancy(self):
+        return getattr(self.mitigation, "table_occupancy", None)
+
+    def on_activation(self, row: int, interval: int):
+        return self.mitigation.on_activation(row, interval)
+
+    def on_refresh(self, interval: int):
+        return self.mitigation.on_refresh(interval)
+
+    def clear_window(self) -> None:
+        # only reachable when trivial_refresh, i.e. on_refresh is the
+        # stateless base no-op: nothing to clear
+        pass
+
+
+class _RunMethodDecider(_GenericDecider):
+    """Run-batching adapter for techniques exposing ``observe_run``.
+
+    A technique that can consume a run of identical activations in one
+    step (the modern counter families) implements
+    ``observe_run(row, interval, count) -> (clean, actions)`` with the
+    same contract as :meth:`_TiVaPRoMiDecider.decide_run`; this adapter
+    simply forwards, keeping the batching arithmetic inside the
+    technique module while decisions remain the reference object's own.
+    """
+
+    __slots__ = ()
+
+    def decide_run(self, row: int, interval: int, count: int):
+        return self.mitigation.observe_run(row, interval, count)
+
+
+class _DrawScan:
+    """Scans over a pre-drawn ``random()`` block ``self._buf``."""
+
+    __slots__ = ()
 
     def _mirror(self):
+        """Lazy numpy mirror of the current block."""
         buf = self._buf
         if self._arr_src is not buf:
             self._arr = _np.asarray(buf)
             self._arr_src = buf
         return self._arr
 
+    def _first_below(self, start: int, end: int, p: float) -> Optional[int]:
+        """Index of the first draw in ``_buf[start:end]`` below *p*."""
+        if _np is None or end - start < _NUMPY_SCAN_MIN:
+            buf = self._buf
+            for index in range(start, end):
+                if buf[index] < p:
+                    return index
+            return None
+        hits = _np.flatnonzero(self._mirror()[start:end] < p)
+        return start + int(hits[0]) if hits.size else None
 
-class _FusedTiVaDecider(_TiVaPRoMiDecider, _NumpyScanMixin):
-    """TiVaPRoMi fast decider with the draw scan vectorised."""
 
-    __slots__ = ("_arr", "_arr_src")
+class _TiVaPRoMiDecider(_DrawScan):
+    """LiPRoMi / LoPRoMi / LoLiPRoMi.
 
-    def __init__(self, mitigation):
-        super().__init__(mitigation)
+    Mirrors :class:`repro.core.tivapromi.TiVaPRoMiBase` exactly: one
+    ``random()`` per activation (bulk-drawn: the *k*-th Mersenne-Twister
+    draw is the same value whether taken eagerly or pre-drawn, and this
+    mitigation never interleaves other generator calls), the FIFO
+    history table as an insertion-ordered dict, and per-interval
+    ``slot -> probability`` vectors computed with
+    :func:`trigger_probability`.
+    """
+
+    __slots__ = (
+        "name", "mitigation", "weighting", "pbase", "capacity", "refint",
+        "slot_fn", "_rand", "_buf", "_pos", "table", "_slots", "_slot_p",
+        "_p_interval", "telemetry", "_arr", "_arr_src",
+    )
+
+    trivial_refresh = True
+
+    def __init__(self, mitigation: TiVaPRoMiBase):
+        self.mitigation = mitigation
+        self.telemetry = None
+        self.name = mitigation.name
+        self.weighting = type(mitigation).weighting
+        self.pbase = mitigation.pbase
+        self.capacity = mitigation.history.capacity
+        self.refint = mitigation.refint
+        self.slot_fn = mitigation.refresh_slot_fn
+        self._rand = mitigation._rng.random
+        self._buf: List[float] = []
+        self._pos = 0
         self._arr = None
         self._arr_src = None
+        #: FIFO history-table mirror: dict preserves insertion order,
+        #: in-place update keeps position, eviction removes the oldest
+        self.table: Dict[int, int] = {}
+        self._slots: Dict[int, int] = {}
+        self._slot_p: Dict[int, float] = {}
+        self._p_interval: Optional[int] = None
+
+    def attach_telemetry(self, telemetry) -> None:
+        self.telemetry = telemetry
+
+    @property
+    def table_bytes(self) -> int:
+        return self.mitigation.table_bytes
+
+    @property
+    def table_occupancy(self) -> int:
+        return len(self.table)
+
+    def _refill(self) -> None:
+        rand = self._rand
+        self._buf = [rand() for _ in range(_BLOCK)]
+        self._pos = 0
+        if self.telemetry is not None:
+            self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
+
+    def on_activation(self, row: int, interval: int):
+        if self._pos >= len(self._buf):
+            self._refill()
+        draw = self._buf[self._pos]
+        self._pos += 1
+        if draw >= self._probability(row, interval):
+            return ()
+        return self._record_trigger(row, interval)
+
+    def _probability(self, row: int, interval: int) -> float:
+        """Current trigger probability of *row* (no draw consumed).
+
+        The weight of a row not in the history table depends only on
+        its refresh slot, so those probabilities are cached as a
+        per-interval ``slot -> p`` vector built lazily from
+        :func:`trigger_probability`.  Table hits inline the same Eq. 1 /
+        Eq. 2 arithmetic (both the stored and the current interval are
+        window-relative by construction, so the reference's range
+        validation cannot fire).
+        """
+        window_now = interval % self.refint
+        stored = self.table.get(row)
+        if stored is None:
+            if interval != self._p_interval:
+                self._p_interval = interval
+                self._slot_p = {}
+            slot = self._slots.get(row)
+            if slot is None:
+                slot = self._slots[row] = self.slot_fn(row)
+            p = self._slot_p.get(slot)
+            if p is None:
+                p = self._slot_p[slot] = trigger_probability(
+                    window_now, slot, self.refint, self.pbase,
+                    self.weighting, in_table=False,
+                )
+            return p
+        weight = window_now - stored
+        if weight < 0:
+            weight += self.refint
+        if self.weighting == "log":
+            weight = 1 << weight.bit_length()
+        p = weight * self.pbase
+        return p if p < 1.0 else 1.0
+
+    def _weight_of(self, row: int, interval: int, hit: bool) -> int:
+        """Effective (uncapped) weight, telemetry only -- never on the
+        decision path, which uses the cached :meth:`_probability`."""
+        window_now = interval % self.refint
+        if hit:
+            weight = window_now - self.table[row]
+            if weight < 0:
+                weight += self.refint
+            # a history hit is weighted linearly except under pure 'log'
+            return log_weight(weight) if self.weighting == "log" else weight
+        slot = self._slots.get(row)
+        if slot is None:
+            slot = self._slots[row] = self.slot_fn(row)
+        weight = linear_weight(window_now, slot, self.refint)
+        # both 'log' and 'loli' quantise rows missing from the table
+        return weight if self.weighting == "linear" else log_weight(weight)
+
+    def _record_trigger(self, row: int, interval: int):
+        table = self.table
+        telemetry = self.telemetry
+        if telemetry is not None:
+            hit = row in table
+            telemetry.on_trigger_weight(
+                self.mitigation.bank, row, interval,
+                self._weight_of(row, interval, hit), hit,
+            )
+        if row in table:
+            table[row] = interval % self.refint
+        else:
+            if len(table) >= self.capacity:
+                oldest = next(iter(table))
+                del table[oldest]
+                if telemetry is not None:
+                    telemetry.on_history_evict(
+                        self.mitigation.bank, oldest, interval
+                    )
+            table[row] = interval % self.refint
+        return (ActivateNeighbors(row=row),)
 
     def decide_run(self, row: int, interval: int, count: int):
-        if _np is None:
-            return super().decide_run(row, interval, count)
+        """Decide *count* consecutive activations of *row* in one go.
+
+        Returns ``(clean, actions)``: ``clean`` is the number of
+        non-trigger decisions before the first trigger.  ``clean ==
+        count`` means no trigger (exactly *count* draws consumed);
+        otherwise ``clean + 1`` draws were consumed and *actions* is the
+        trigger's action tuple.  Exact because the probability of a row
+        is constant between triggers within one interval and the draws
+        are a fixed pre-buffered sequence.
+        """
         p = self._probability(row, interval)
         clean = 0
-        pos = self._pos
-        buf = self._buf
         while clean < count:
-            if pos >= len(buf):
-                rand = self._rand
-                buf = self._buf = [rand() for _ in range(_BLOCK)]
-                pos = 0
-                if self.telemetry is not None:
-                    self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            if p > 0.0:
-                hits = _np.flatnonzero(self._mirror()[pos:end] < p)
-                if hits.size:
-                    hit = pos + int(hits[0])
-                    clean += hit - pos
-                    self._pos = hit + 1
-                    return clean, self._record_trigger(row, interval)
+            if self._pos >= len(self._buf):
+                self._refill()
+            pos = self._pos
+            end = min(pos + count - clean, len(self._buf))
+            hit = self._first_below(pos, end, p) if p > 0.0 else None
+            if hit is not None:
+                self._pos = hit + 1
+                return clean + hit - pos, self._record_trigger(row, interval)
             clean += end - pos
-            pos = end
-        self._pos = pos
+            self._pos = end
         return count, ()
+
+    def on_refresh(self, interval: int):
+        if interval % self.refint == 0:
+            self.table.clear()
+        return ()
+
+    def clear_window(self) -> None:
+        self.table.clear()
 
     def _p_of(self, weights, log: bool):
         """Vectorised Eq. 1 / Eq. 2 probabilities of integer *weights*
@@ -376,7 +701,7 @@ class _FusedTiVaDecider(_TiVaPRoMiDecider, _NumpyScanMixin):
         return _np.asarray(slots, dtype=_np.int64)[inverse]
 
     def scan(self, rows, intervals):
-        """Decide every record of this bank in bulk.
+        """Decide every record of this bank in bulk (numpy only).
 
         *rows* and *intervals* are the bank's records in tape order.
         Between triggers and window starts the history table is fixed,
@@ -399,11 +724,7 @@ class _FusedTiVaDecider(_TiVaPRoMiDecider, _NumpyScanMixin):
                 current = window[j]
                 self.table.clear()  # the window-start ``ref`` tick
             if self._pos >= len(self._buf):
-                rand = self._rand
-                self._buf = [rand() for _ in range(_BLOCK)]
-                self._pos = 0
-                if self.telemetry is not None:
-                    self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
+                self._refill()
             pos = self._pos
             end = min(
                 j + len(self._buf) - pos,
@@ -431,47 +752,126 @@ class _FusedTiVaDecider(_TiVaPRoMiDecider, _NumpyScanMixin):
                 j = end
 
 
-class _FusedPARADecider(_PARADecider):
-    """PARA with a bulk draw scan (see :meth:`_FusedTiVaDecider.scan`).
+class _PARADecider(_DrawScan):
+    """PARA: buffered draws, cached assumed adjacency.
 
-    The probability is a constant, so a block is scanned for its first
-    draw below it; that record replays through ``on_activation``, which
-    rewinds the generator for the victim's ``randrange`` exactly like
-    the scalar path.
+    Implements the same rewind-on-interleave protocol as
+    :class:`repro.rng.BufferedRandom` with the buffer inlined as plain
+    fields: a trigger's ``randrange`` must consume the generator right
+    after the draws handed out so far, so the generator is restored to
+    the block's start state and the consumed draws are replayed.  A
+    modest block size keeps that replay cheap.  The probability is a
+    constant, so runs and whole banks scan a block for its first draw
+    below it.
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "name", "mitigation", "probability", "_rng", "_buf", "_pos",
+        "_state", "geometry", "_neighbors", "telemetry", "_arr", "_arr_src",
+    )
+
+    trivial_refresh = True
+
+    def __init__(self, mitigation: PARA):
+        self.mitigation = mitigation
+        self.telemetry = None
+        self.name = mitigation.name
+        self.probability = mitigation.probability
+        self._rng = mitigation._rng
+        self._buf: List[float] = []
+        self._pos = 0
+        self._state: object = None
+        self._arr = None
+        self._arr_src = None
+        self.geometry = mitigation.config.geometry
+        self._neighbors: Dict[int, Tuple[int, ...]] = {}
+
+    def attach_telemetry(self, telemetry) -> None:
+        self.telemetry = telemetry
+
+    @property
+    def table_bytes(self) -> int:
+        return self.mitigation.table_bytes
+
+    @property
+    def table_occupancy(self):
+        return None  # PARA is stateless
+
+    def _refill(self) -> None:
+        rng = self._rng
+        self._state = rng.getstate()
+        rand = rng.random
+        self._buf = [rand() for _ in range(_PARA_BLOCK)]
+        self._pos = 0
+        if self.telemetry is not None:
+            self.telemetry.on_rng_block(self.mitigation.bank, _PARA_BLOCK)
+
+    def _trigger(self, row: int, consumed: int):
+        """Pick the victim of a trigger after *consumed* block draws."""
+        rng = self._rng
+        rng.setstate(self._state)
+        for _ in range(consumed):
+            rng.random()
+        self._buf = []
+        self._pos = 0
+        neighbors = self._neighbors.get(row)
+        if neighbors is None:
+            neighbors = self._neighbors[row] = self.geometry.assumed_neighbors(row)
+        victim = neighbors[rng.randrange(len(neighbors))]
+        return (RefreshRow(row=victim, trigger_row=row),)
+
+    def on_activation(self, row: int, interval: int):
+        if self._pos >= len(self._buf):
+            self._refill()
+        pos = self._pos
+        self._pos = pos + 1
+        if self._buf[pos] >= self.probability:
+            return ()
+        return self._trigger(row, pos + 1)
+
+    def decide_run(self, row: int, interval: int, count: int):
+        """Bulk-decide *count* consecutive activations (see
+        :meth:`_TiVaPRoMiDecider.decide_run` for the contract)."""
+        clean = 0
+        while clean < count:
+            if self._pos >= len(self._buf):
+                self._refill()
+            pos = self._pos
+            end = min(pos + count - clean, len(self._buf))
+            hit = self._first_below(pos, end, self.probability)
+            if hit is not None:
+                return clean + hit - pos, self._trigger(row, hit + 1)
+            clean += end - pos
+            self._pos = end
+        return count, ()
 
     def scan(self, rows, intervals):
-        p = self.probability
-        rng = self._rng
+        """Decide every record of this bank in bulk (see
+        :meth:`_TiVaPRoMiDecider.scan`)."""
         n = len(rows)
         j = 0
         while j < n:
             if self._pos >= len(self._buf):
-                self._state = rng.getstate()
-                rand = rng.random
-                self._buf = [rand() for _ in range(256)]
-                self._pos = 0
-                if self.telemetry is not None:
-                    self.telemetry.on_rng_block(self.mitigation.bank, 256)
+                self._refill()
             pos = self._pos
-            span = min(len(self._buf) - pos, n - j)
-            hits = _np.flatnonzero(
-                _np.asarray(self._buf[pos:pos + span]) < p
-            )
-            if hits.size:
-                hit = int(hits[0])
-                self._pos = pos + hit
-                j += hit
-                yield j, self.on_activation(int(rows[j]), int(intervals[j]))
-                j += 1
+            end = min(len(self._buf), pos + n - j)
+            hit = self._first_below(pos, end, self.probability)
+            if hit is None:
+                self._pos = end
+                j += end - pos
             else:
-                self._pos = pos + span
-                j += span
+                j += hit - pos
+                yield j, self._trigger(int(rows[j]), hit + 1)
+                j += 1
+
+    def on_refresh(self, interval: int):
+        return ()
+
+    def clear_window(self) -> None:
+        pass
 
 
-class _BufferedVictimDecider(_NumpyScanMixin):
+class _BufferedVictimDecider(_DrawScan):
     """Shared plumbing for the ProHit / MRLoc fused deciders.
 
     Owns *every* draw of the wrapped mitigation's RNG stream through a
@@ -537,7 +937,7 @@ class _BufferedVictimDecider(_NumpyScanMixin):
         pass
 
 
-class _FusedProHitDecider(_BufferedVictimDecider):
+class _ProHitDecider(_BufferedVictimDecider):
     """ProHit with run batching.
 
     ``on_activation`` never issues actions (all ProHit refreshes come
@@ -636,7 +1036,7 @@ class _FusedProHitDecider(_BufferedVictimDecider):
         return count, ()
 
 
-class _FusedMRLocDecider(_BufferedVictimDecider):
+class _MRLocDecider(_BufferedVictimDecider):
     """MRLoc with run batching.
 
     Every victim lookup draws exactly once, so a run consumes a fixed
@@ -752,43 +1152,7 @@ class _FusedMRLocDecider(_BufferedVictimDecider):
         return count, ()
 
 
-class _TableDecider:
-    """Shared plumbing for the draw-free table deciders (TWiCe, CRA,
-    CaPRoMi): decisions delegate to the real mitigation object, runs
-    collapse into one arithmetic update on its tables."""
-
-    __slots__ = ("mitigation", "telemetry", "name")
-
-    trivial_refresh = False  # all three mutate state on every ``ref``
-
-    def __init__(self, mitigation: Mitigation):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-        self.mitigation.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return getattr(self.mitigation, "table_occupancy", None)
-
-    def on_activation(self, row: int, interval: int):
-        return self.mitigation.on_activation(row, interval)
-
-    def on_refresh(self, interval: int):
-        return self.mitigation.on_refresh(interval)
-
-    def clear_window(self) -> None:  # pragma: no cover - non-trivial refresh
-        pass
-
-
-class _FusedTWiCeDecider(_TableDecider):
+class _TWiCeDecider(_GenericDecider):
     """TWiCe run batching: a counter either stays below the trigger
     threshold for the whole run (one ``+= n``) or crosses it at an
     arithmetically recoverable act."""
@@ -812,7 +1176,7 @@ class _FusedTWiCeDecider(_TableDecider):
         return need - 1, (ActivateNeighbors(row=row),)
 
 
-class _FusedCRADecider(_TableDecider):
+class _CRADecider(_GenericDecider):
     """CRA run batching (same arithmetic as TWiCe, sparse counters)."""
 
     __slots__ = ()
@@ -829,7 +1193,7 @@ class _FusedCRADecider(_TableDecider):
         return need - 1, (ActivateNeighbors(row=row),)
 
 
-class _FusedCaPRoMiDecider(_TableDecider):
+class _CaPRoMiDecider(_GenericDecider):
     """CaPRoMi run batching.
 
     Activations only observe (no draws, no actions): the first
@@ -857,26 +1221,22 @@ class _FusedCaPRoMiDecider(_TableDecider):
         return count, ()
 
 
-def _make_fused_decider(mitigation: Mitigation):
+def _make_decider(mitigation: Mitigation):
     kind = type(mitigation)
     if kind in (LiPRoMi, LoPRoMi, LoLiPRoMi):
-        if _np is None:
-            return _TiVaPRoMiDecider(mitigation)
-        return _FusedTiVaDecider(mitigation)
+        return _TiVaPRoMiDecider(mitigation)
     if kind is PARA:
-        if _np is None:
-            return _PARADecider(mitigation)
-        return _FusedPARADecider(mitigation)
+        return _PARADecider(mitigation)
     if kind is ProHit:
-        return _FusedProHitDecider(mitigation)
+        return _ProHitDecider(mitigation)
     if kind is MRLoc:
-        return _FusedMRLocDecider(mitigation)
+        return _MRLocDecider(mitigation)
     if kind is TWiCe:
-        return _FusedTWiCeDecider(mitigation)
+        return _TWiCeDecider(mitigation)
     if kind is CRA:
-        return _FusedCRADecider(mitigation)
+        return _CRADecider(mitigation)
     if kind is CaPRoMi:
-        return _FusedCaPRoMiDecider(mitigation)
+        return _CaPRoMiDecider(mitigation)
     if hasattr(mitigation, "observe_run"):
         # modern counter families batch runs through their own
         # observe_run arithmetic (same contract as decide_run)
@@ -901,7 +1261,7 @@ class _Shared:
         "tape", "times", "interval_ns", "total_intervals", "neighbors_of",
         "second_of", "stop_after_first_trigger", "max_activations",
         "_refresh_rows", "_slots", "_bank_records", "_first_attack",
-        "_baselines",
+        "_attacks_seen", "_baselines",
     )
 
     def __init__(self, geometry, policy, tape, stop_after_first_trigger,
@@ -922,7 +1282,8 @@ class _Shared:
         self._refresh_rows: Dict[int, List[int]] = {}
         self._slots: Dict[int, int] = {}
         self._bank_records: Optional[List[Tuple]] = None
-        self._first_attack: Optional[Dict[Tuple[int, int], int]] = None
+        self._first_attack: Dict[Tuple[int, int], int] = {}
+        self._attacks_seen = 0  # segments _first_attack covers
         self._baselines: Dict[Tuple[int, Any], List] = {}
 
     def refresh_rows(self, slot: int) -> List[int]:
@@ -1005,10 +1366,10 @@ class _Shared:
         """Per-record ``(index, row, interval)`` columns of one bank, for
         the bulk decision scans."""
         if self._bank_records is None:
-            tape = self.tape
-            banks = _np.repeat(tape.banks, tape.lengths)
-            rows = _np.repeat(tape.rows, tape.lengths)
-            intervals = _np.repeat(tape.intervals, tape.lengths)
+            cols = self.tape.columns
+            banks = _np.repeat(cols.banks, cols.lengths)
+            rows = _np.repeat(cols.rows, cols.lengths)
+            intervals = _np.repeat(cols.intervals, cols.lengths)
             columns = []
             for index in range(self.geometry.num_banks):
                 at = _np.flatnonzero(banks == index)
@@ -1022,28 +1383,15 @@ class _Shared:
         self._bank_records = None
 
     def first_attack(self) -> Dict[Tuple[int, int], int]:
-        """First record index of every attacking ``(bank, row)``."""
-        if self._first_attack is None:
-            tape = self.tape
-            if tape.starts is None:
-                runs = [
-                    (bank, row, start)
-                    for start, _, bank, row, is_attack, _ in tape.segments
-                    if is_attack
-                ]
-            else:
-                at = _np.flatnonzero(tape.attacks)
-                pairs = tape.banks[at].astype(_np.int64) << 32 | tape.rows[at]
-                _, first = _np.unique(pairs, return_index=True)
-                at = at[first]
-                runs = zip(
-                    tape.banks[at].tolist(), tape.rows[at].tolist(),
-                    tape.starts[at].tolist(),
-                )
-            first_attack: Dict[Tuple[int, int], int] = {}
-            for bank, row, start in runs:
-                first_attack.setdefault((bank, row), start)
-            self._first_attack = first_attack
+        """First record index of every attacking ``(bank, row)`` among
+        the segments decoded so far."""
+        segments = self.tape.segments
+        if self._attacks_seen < len(segments):
+            first_attack = self._first_attack
+            for start, _, bank, row, is_attack, _ in segments[self._attacks_seen:]:
+                if is_attack and (bank, row) not in first_attack:
+                    first_attack[bank, row] = start
+            self._attacks_seen = len(segments)
         return self._first_attack
 
 
@@ -1077,7 +1425,7 @@ class _Lane:
             self.deciders: List = []
         else:
             self.deciders = [
-                _make_fused_decider(
+                _make_decider(
                     factory(config, bank, derive_seed(seed, "mitigation", bank))
                 )
                 for bank in range(num_banks)
@@ -1090,21 +1438,17 @@ class _Lane:
         self.flip_threshold = config.flip_threshold
         self.distance2 = config.distance2_rate
         self.all_trivial = all(d.trivial_refresh for d in self.deciders)
-        # batching leaves the decider call pattern (and so the telemetry
-        # stream) exactly as the fast engine's, which batches only under
-        # the plain distance-1 model
-        self.can_batch = self.distance2 == 0.0 and all(
-            hasattr(d, "decide_run") for d in self.deciders
-        )
-        # whole-bank scans need short runs, every decider to support
-        # them and no per-record observer or early stop
+        self.can_batch = all(hasattr(d, "decide_run") for d in self.deciders)
+        # whole-bank scans need no early stop (so a complete tape),
+        # short runs, every decider to support them and no per-record
+        # observer
         tape = shared.tape
         self.bulk = (
             _np is not None
-            and len(tape.times) < _BULK_RUN_LENGTH * len(tape.segments)
-            and tele is None
             and shared.max_activations is None
             and not shared.stop_after_first_trigger
+            and len(tape.times) < _BULK_RUN_LENGTH * len(tape.segments)
+            and tele is None
             and all(hasattr(d, "scan") for d in self.deciders)
         )
         self.extras: List[Tuple[int, int, int, int, int]] = []
@@ -1216,7 +1560,8 @@ class _Lane:
     # -- the decision pass ----------------------------------------------
 
     def decide(self) -> None:
-        """Replay the whole tape through this lane's deciders."""
+        """Replay the tape through this lane's deciders, reading it only
+        as far as the lane goes."""
         if self.bulk:
             self.scan()
             return
@@ -1226,7 +1571,7 @@ class _Lane:
         max_acts = sh.max_activations
         deciders = self.deciders
         can_batch = self.can_batch
-        for start, end, bank, row, is_attack, interval in sh.tape.segments:
+        for start, end, bank, row, is_attack, interval in sh.tape.walk():
             if interval > self.current_interval:
                 self.advance_to(interval)
             decider = deciders[bank] if deciders else None
@@ -1267,7 +1612,7 @@ class _Lane:
                         if max_acts is not None and self.activation_index >= max_acts:
                             return
                         continue
-                # per-record path (mirror of the fast engine's tail)
+                # per-record path
                 if is_attack:
                     self.attack_activations += 1
                 self.activation_index += 1
@@ -1293,7 +1638,7 @@ class _Lane:
         interval, otherwise at the ``ref`` tick in between.
         """
         sh = self.sh
-        tape = sh.tape
+        cols = sh.tape.columns
         triggers = []
         for bank, decider in enumerate(self.deciders):
             index, rows, intervals = sh.bank_records(bank)
@@ -1305,8 +1650,8 @@ class _Lane:
         records = len(sh.times)
 
         def interval_of(k: int) -> int:
-            segment = int(_np.searchsorted(tape.starts, k, side="right")) - 1
-            return int(tape.intervals[segment])
+            segment = int(_np.searchsorted(cols.starts, k, side="right")) - 1
+            return int(cols.intervals[segment])
 
         for k, bank, actions in triggers:
             self.current_interval = interval_of(k)
@@ -1319,9 +1664,9 @@ class _Lane:
             # the record after the first application sets it
             self.first_trigger = triggers[0][0] + 2
         self.activation_index = records
-        self.attack_activations = int(tape.lengths[tape.attacks].sum())
-        if tape.segments:
-            self.current_interval = tape.segments[-1][5]
+        self.attack_activations = int(cols.lengths[cols.attacks].sum())
+        if len(cols.intervals):
+            self.current_interval = int(cols.intervals[-1])
 
     def drain(self) -> None:
         sh = self.sh
@@ -1375,7 +1720,8 @@ def _device_scalar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
     tape order.  A victim's disturbance is the (run-weighted) number of
     neighbour ACTs since its last restore -- its own ACT or the periodic
     refresh of its slot.  Serves Half-Double coupling (whose fractional
-    counts must accumulate one ACT at a time) and the numpy-free install.
+    counts must accumulate one ACT at a time), runs that stopped early
+    on a tape read block by block, and the numpy-free install.
     """
     times = sh.times
     num_banks = sh.geometry.num_banks
@@ -1384,13 +1730,13 @@ def _device_scalar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
     bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
     threshold = lane.flip_threshold
     distance2 = lane.distance2
-    peak = 0
+    #: ``(victim, coupling)`` pairs each row's ACT disturbs
+    victims_of: Dict[int, Tuple[Tuple[int, float], ...]] = {}
+    peak = 0.0
     current = -1
 
     def advance(target: int) -> None:
         nonlocal current
-        if target <= current:
-            return
         if target - current >= refint:
             for c in counters:
                 c.clear()
@@ -1408,49 +1754,60 @@ def _device_scalar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
         """*count* ACTs of *row*: records from index *first* on, or one
         mitigating ACT at *time_ns* (``first is None``)."""
         nonlocal peak
+        victims = victims_of.get(row)
+        if victims is None:
+            victims = victims_of[row] = tuple(
+                [(victim, 1.0) for victim in sh.neighbors(row)]
+                + ([(victim, distance2) for victim in sh.seconds(row)]
+                   if distance2 > 0.0 else [])
+            )
         c = counters[bank]
         c.pop(row, None)
-        crossed = []
-        victims: List[Tuple[int, float]] = [
-            (victim, count) for victim in sh.neighbors(row)
-        ]
-        if distance2 > 0.0:
-            victims += [(victim, distance2) for victim in sh.seconds(row)]
-        for victim, amount in victims:
+        crossed = None
+        for victim, coupling in victims:
             before = c.get(victim, 0.0)
-            after = before + amount
+            after = before + coupling * count
             c[victim] = after
-            whole = int(after)
-            if whole > peak:
-                peak = whole
+            if after > peak:
+                peak = after
             if before < threshold <= after:
                 offset = threshold - int(before) - 1  # the crossing ACT
+                if crossed is None:
+                    crossed = []
                 crossed.append((
-                    offset, victim, threshold if count > 1 else whole,
+                    offset, victim, threshold if count > 1 else int(after),
                     time_ns if first is None else times[first + offset],
                 ))
-        # several victims crossing inside one run flip in ACT order
-        crossed.sort(key=lambda flip: flip[0])
-        bank_flips[bank].extend(
-            FlipEvent(bank=bank, row=victim, count=whole, time_ns=at)
-            for _, victim, whole, at in crossed
-        )
+        if crossed:
+            # several victims crossing inside one run flip in ACT order
+            crossed.sort(key=lambda flip: flip[0])
+            bank_flips[bank].extend(
+                FlipEvent(bank=bank, row=victim, count=whole, time_ns=at)
+                for _, victim, whole, at in crossed
+            )
 
     extras = lane.extras
     x = 0
     done = lane.activation_index
+    # tape position of the next mitigating ACT (``done`` once none is
+    # left before the end of the replay)
+    next_at = extras[0][0] if extras else done
     for start, end, bank, row, _, interval in sh.tape.segments:
         if start >= done:
             break
-        end = min(end, done)
+        if end > done:
+            end = done
         while start < end:
-            while x < len(extras) and extras[x][0] <= start:
+            while next_at <= start:
                 _, at_interval, at_bank, at_row, time_ns = extras[x]
-                advance(at_interval)
+                if at_interval > current:
+                    advance(at_interval)
                 activate(at_bank, at_row, 1, None, time_ns)
                 x += 1
-            advance(interval)
-            stop = extras[x][0] if x < len(extras) and extras[x][0] < end else end
+                next_at = extras[x][0] if x < len(extras) else done
+            if interval > current:
+                advance(interval)
+            stop = next_at if next_at < end else end
             if distance2 > 0.0:
                 for index in range(start, stop):
                     activate(bank, row, 1, index, 0)
@@ -1458,10 +1815,11 @@ def _device_scalar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
                 activate(bank, row, stop - start, start, 0)
             start = stop
     for _, at_interval, at_bank, at_row, time_ns in extras[x:]:
-        advance(at_interval)
+        if at_interval > current:
+            advance(at_interval)
         activate(at_bank, at_row, 1, None, time_ns)
     flips = [flip for events in bank_flips for flip in events]
-    return peak, flips
+    return int(peak), flips
 
 
 def _count_disturbance(sh: _Shared, threshold, pos, weight, row, interval,
@@ -1550,11 +1908,11 @@ def _count_disturbance(sh: _Shared, threshold, pos, weight, row, interval,
 
 def _bank_runs(sh: _Shared, bank: int, done: int):
     """The record runs of *bank* among the first *done* records."""
-    tape = sh.tape
-    at = _np.flatnonzero((tape.banks == bank) & (tape.starts < done))
-    pos = tape.starts[at]
-    weight = (_np.minimum(pos + tape.lengths[at], done) - pos).astype(_np.int32)
-    return pos, weight, tape.rows[at], tape.intervals[at]
+    cols = sh.tape.columns
+    at = _np.flatnonzero((cols.banks == bank) & (cols.starts < done))
+    pos = cols.starts[at]
+    weight = (_np.minimum(pos + cols.lengths[at], done) - pos).astype(_np.int32)
+    return pos, weight, cols.rows[at], cols.intervals[at]
 
 
 def _baseline(sh: _Shared, done: int, threshold):
@@ -1701,6 +2059,8 @@ def _run_plans(
 
     with section_of(profiler, "engine:decode"):
         tape = _Tape(trace)
+        if not stop_after_first_trigger and max_activations is None:
+            tape.read()  # no lane can stop early: decode everything now
     shared = _Shared(
         geometry, policy, tape, stop_after_first_trigger, max_activations
     )
@@ -1723,14 +2083,7 @@ def _run_plans(
                 owners[plan.key] = index
             assign.append(index)
 
-    if metrics is not None:
-        metrics.counter("fused.cells_requested").add(len(plans))
-        metrics.counter("fused.cells_computed").add(len(lanes))
-        metrics.counter("fused.cells_deduped").add(len(plans) - len(lanes))
-        metrics.counter("fused.segments").add(len(tape.segments))
-        metrics.counter("fused.records").add(len(tape.times))
-
-    # the decision pass, lane by lane over the whole tape
+    # the decision pass, lane by lane
     replay_s = drain_s = 0.0
     for lane in lanes:
         mark = time.perf_counter()
@@ -1739,12 +2092,21 @@ def _run_plans(
         lane.drain()
         replay_s += decided - mark
         drain_s += time.perf_counter() - decided
+    if metrics is not None:
+        metrics.counter("fused.cells_requested").add(len(plans))
+        metrics.counter("fused.cells_computed").add(len(lanes))
+        metrics.counter("fused.cells_deduped").add(len(plans) - len(lanes))
+        metrics.counter("fused.segments").add(len(tape.segments))
+        metrics.counter("fused.records").add(len(tape.times))
     # the device pass, from the tape columns and each lane's sparse ACTs
     mark = time.perf_counter()
     shared.end_decisions()
     computed: List[SimResult] = []
     for lane in lanes:
-        if _np is not None and lane.distance2 == 0.0:
+        # a tape read block by block has no columns: its runs stopped
+        # early, and on their short prefixes the scalar pass is cheaper
+        # than building them
+        if tape.columns is not None and lane.distance2 == 0.0:
             outcome = _device_columnar(shared, lane)
         else:
             outcome = _device_scalar(shared, lane)
@@ -1787,7 +2149,7 @@ def run_simulation_grid(
     Returns one :class:`SimResult` per cell, in cell order, each
     bit-identical (except ``wall_seconds``, which carries the wall time
     of the whole grid call) to a solo :func:`repro.sim.engine.run_simulation`
-    of that cell.  The trace is consumed exactly once, so lazy traces
+    of that cell.  The trace is consumed at most once, so lazy traces
     are safe; the *seed* axis only re-seeds the mitigations -- callers
     whose traces vary per seed must issue one grid call per trace.
     """
@@ -1815,7 +2177,9 @@ def run_simulation_fused(
     Drop-in compatible with :func:`repro.sim.engine.run_simulation`; the
     grid machinery degenerates to one lane.  Accepts arbitrary
     mitigation factories (unknown techniques replay per-record through
-    the real ``Mitigation`` object, exactly like the fast engine).
+    the real ``Mitigation`` object).  With ``stop_after_first_trigger``
+    or ``max_activations`` a lazy trace is read only a block past the
+    records the run replays.
     """
     plans = [_Plan(mitigation_factory, seed, config, None)]
     return _run_plans(

@@ -3,7 +3,7 @@
 Zero-cost when disabled: every entry point of the simulation stack
 accepts ``tracer=None`` / ``metrics=None`` / ``profiler=None`` and the
 engines skip the whole layer behind a single ``None`` check (pinned by
-the overhead guard in ``benchmarks/bench_fast_engine.py``).  Enabling
+the overhead guard in ``benchmarks/bench_fused_engine.py``).  Enabling
 it never changes simulation results -- the differential harness proves
 both engines produce bit-identical :class:`~repro.sim.metrics.SimResult`
 objects with telemetry on and off.

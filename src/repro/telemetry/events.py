@@ -29,7 +29,7 @@ HISTORY_HIT = "history-hit"
 HISTORY_EVICT = "history-evict"
 #: a ``ref`` command started the next refresh interval
 INTERVAL_ROLLOVER = "interval-rollover"
-#: the fast engine pre-drew a block of RNG values
+#: the fused engine pre-drew a block of RNG values
 RNG_BLOCK = "rng-block"
 
 EVENT_KINDS = (

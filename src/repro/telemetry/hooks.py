@@ -190,7 +190,7 @@ class EngineTelemetry:
             )
 
     def on_interval_skip(self, first: int, last: int, time_ns: int) -> None:
-        """The fast engine jumped over ``[first, last]`` empty intervals."""
+        """The fused engine jumped over ``[first, last]`` empty intervals."""
         skipped = last - first + 1
         if skipped <= 0:
             return
@@ -242,7 +242,7 @@ class EngineTelemetry:
             self.tracer.emit(ev.history_evict(self.now, interval, bank, row))
 
     def on_rng_block(self, bank: int, count: int) -> None:
-        """The fast engine pre-drew *count* RNG values in one block."""
+        """The fused engine pre-drew *count* RNG values in one block."""
         if self._c_activations is not None:
             self._c_rng_blocks.add()
             self._c_rng_draws.add(count)

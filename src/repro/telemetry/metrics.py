@@ -86,7 +86,7 @@ class Histogram:
     def record_many(self, value: float, times: int) -> None:
         """Record the same observation *times* times in O(1).
 
-        Used by the fast engine's interval-span skip: a span of *n*
+        Used by the fused engine's interval-span skip: a span of *n*
         empty intervals contributes *n* zero-trigger observations
         without touching the histogram *n* times.
         """

@@ -22,6 +22,8 @@ from repro.adversary import (
 )
 from repro.campaign import CampaignStateError, CheckpointMismatchError
 from repro.config import small_test_config
+from repro.rng import derive_seed
+from repro.traces.mixer import build_trace
 
 
 def sharp_config():
@@ -79,6 +81,32 @@ class TestDeterminism:
         config = small_test_config()
         outcome = run_search(config, settings(budget=7))
         assert outcome.evaluations == 7
+
+    def test_reference_and_fused_frontiers_are_byte_identical(self):
+        """The ``--engine`` identity: every engine evaluates per-seed
+        traces.  Generation zero holds the multi-aggressor corpus
+        genomes, whose mixer shuffle depends on the trace seed, so a
+        trace shared across eval seeds would change their fitness."""
+        config = small_test_config()
+        total = config.geometry.refint * settings().windows
+        multi = [g for g in seed_corpus(config) if len(g.aggressors) > 1]
+        assert multi
+        for genome in multi:
+            traces = [
+                list(build_trace(
+                    config, total, benign_params=None,
+                    attacks=genome.compile(config, total),
+                    seed=derive_seed(eval_seed, "adversary-trace", genome.key()),
+                ))
+                for eval_seed in (
+                    derive_seed(0, "adversary-eval", index) for index in (0, 1)
+                )
+            ]
+            assert traces[0] != traces[1]
+        reference = run_search(config, settings(engine="reference", budget=9))
+        fused = run_search(config, settings(engine="fused", budget=9))
+        assert reference.frontier.to_json() == fused.frontier.to_json()
+        assert reference.as_dict() == fused.as_dict()
 
     def test_generation_zero_is_the_corpus(self):
         config = small_test_config()

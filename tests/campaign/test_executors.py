@@ -51,7 +51,7 @@ def make_executor(lane, tmp_path):
 def campaign(config, lane, tmp_path, **kwargs):
     kwargs.setdefault("techniques", TECHNIQUES)
     kwargs.setdefault("seeds", SEEDS)
-    kwargs.setdefault("engine", "fast")
+    kwargs.setdefault("engine", "fused")
     return run_campaign(
         config, 8, workers=kwargs.pop("workers", 2),
         executor=make_executor(lane, tmp_path), **kwargs,
@@ -64,7 +64,7 @@ def baseline():
     config = small_test_config(num_banks=2)
     return canonical(run_campaign(
         config, 8, techniques=TECHNIQUES, seeds=SEEDS, workers=0,
-        engine="fast",
+        engine="fused",
     ))
 
 
@@ -144,7 +144,7 @@ class TestExecutorContract:
         healthy.pop("PARA")
         reference = canonical(run_campaign(
             config, 8, techniques=("TWiCe",), seeds=SEEDS, workers=0,
-            engine="fast",
+            engine="fused",
         ))
         assert healthy == reference
 
@@ -156,7 +156,7 @@ class TestExecutorContract:
         ckpt = tmp_path / "ckpt"
         first = run_durable_campaign(
             config, 8, ckpt, techniques=TECHNIQUES, seeds=SEEDS,
-            workers=2, engine="fast",
+            workers=2, engine="fused",
             executor=make_executor(lane, tmp_path),
         )
         store = CampaignStore(ckpt)
@@ -164,7 +164,7 @@ class TestExecutorContract:
         store.shard_path("PARA", 1).unlink()
         resumed = run_durable_campaign(
             config, 8, ckpt, resume=True, techniques=TECHNIQUES,
-            seeds=SEEDS, workers=2, engine="fast",
+            seeds=SEEDS, workers=2, engine="fused",
             executor=make_executor(lane, tmp_path / "again"),
         )
         assert canonical(resumed) == canonical(first)

@@ -55,7 +55,7 @@ HANG_LAST_SHARD = json.dumps(
 )
 
 
-def start_doomed_campaign(ckpt, engine="fast"):
+def start_doomed_campaign(ckpt, engine="fused"):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env[FAULT_ENV_VAR] = HANG_LAST_SHARD
@@ -96,7 +96,7 @@ class TestKillResume:
     def test_sigkilled_campaign_resumes_bit_identical(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         store = CampaignStore(ckpt)
-        proc = start_doomed_campaign(ckpt)
+        proc = start_doomed_campaign(ckpt, engine="reference")
         try:
             wait_for_checkpointed_shard(store, proc)
         finally:
@@ -118,7 +118,7 @@ class TestKillResume:
             techniques=TECHNIQUES,
             seeds=SEEDS,
             workers=0,
-            engine="fast",
+            engine="reference",
         )
         reference = run_durable_campaign(
             small_test_config(num_banks=2),
@@ -127,7 +127,7 @@ class TestKillResume:
             techniques=TECHNIQUES,
             seeds=SEEDS,
             workers=0,
-            engine="fast",
+            engine="reference",
         )
         assert canonical(resumed) == canonical(reference)
         assert store.status().complete
@@ -140,8 +140,8 @@ class TestKillResume:
         injector disables block dispatch), the resume completes the
         remaining shards as a fused block, and the merged aggregates
         must equal both an uninterrupted fused run and an uninterrupted
-        fast-engine run -- per-cell checkpoints and whole-grid blocks
-        compose without drift.
+        reference-engine run -- per-cell checkpoints and whole-grid
+        blocks compose without drift.
         """
         ckpt = tmp_path / "ckpt"
         store = CampaignStore(ckpt)
@@ -178,17 +178,17 @@ class TestKillResume:
             workers=0,
             engine="fused",
         )
-        fast = run_durable_campaign(
+        oracle = run_durable_campaign(
             small_test_config(num_banks=2),
             total_intervals=8,
-            checkpoint_dir=tmp_path / "fast",
+            checkpoint_dir=tmp_path / "oracle",
             techniques=TECHNIQUES,
             seeds=SEEDS,
             workers=0,
-            engine="fast",
+            engine="reference",
         )
         assert canonical(resumed) == canonical(reference)
-        assert canonical(resumed) == canonical(fast)
+        assert canonical(resumed) == canonical(oracle)
         assert store.status().complete
         assert not resumed.failures
 
@@ -238,5 +238,5 @@ class TestKillResume:
                 techniques=TECHNIQUES,
                 seeds=SEEDS,
                 workers=0,
-                engine="fast",
+                engine="fused",
             )

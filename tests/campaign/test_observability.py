@@ -39,7 +39,7 @@ from tests.campaign.test_kill_resume import (
 )
 
 
-def durable(ckpt, resume=False, spans=None, engine="fast", **kwargs):
+def durable(ckpt, resume=False, spans=None, engine="fused", **kwargs):
     return run_durable_campaign(
         small_test_config(num_banks=2),
         total_intervals=8,

@@ -49,7 +49,7 @@ def canonical(aggregates):
 
 
 def make_job(config, technique="PARA", seed=0, **kwargs):
-    kwargs.setdefault("engine", "fast")
+    kwargs.setdefault("engine", "fused")
     return CampaignJob(
         config=config, technique=technique, seed=seed, total_intervals=8,
         **kwargs,
@@ -110,7 +110,7 @@ class TestQueueProtocol:
         back = rebuilt.to_job(tmp_path)
         assert back.config == job.config
         assert back.workload_kwargs == job.workload_kwargs
-        assert (back.technique, back.seed, back.engine) == ("PARA", 0, "fast")
+        assert (back.technique, back.seed, back.engine) == ("PARA", 0, "fused")
         assert back.attempt == 3
         assert back.collect_metrics and back.collect_spans
         assert back.span_seed == "abc"
@@ -248,7 +248,7 @@ class TestQueueCampaigns:
         try:
             queued = run_campaign(
                 config, 8, techniques=TECHNIQUES, seeds=SEEDS,
-                engine="fast",
+                engine="fused",
                 executor=QueueExecutor(
                     qdir, workers=0, lease_timeout=30.0, poll_interval=0.05,
                 ),
@@ -257,7 +257,7 @@ class TestQueueCampaigns:
             reap(workers, qdir)
         reference = run_campaign(
             config, 8, techniques=TECHNIQUES, seeds=SEEDS, workers=2,
-            engine="fast",
+            engine="fused",
         )
         assert canonical(queued) == canonical(reference)
 
@@ -282,7 +282,7 @@ class TestQueueCampaigns:
         def drive():
             box["aggregates"] = run_durable_campaign(
                 config, 8, ckpt, techniques=TECHNIQUES, seeds=SEEDS,
-                engine="fast",
+                engine="fused",
                 executor=QueueExecutor(
                     qdir, workers=0, lease_timeout=2.0, poll_interval=0.05,
                 ),
@@ -314,7 +314,7 @@ class TestQueueCampaigns:
         assert "aggregates" in box
         reference = run_campaign(
             config, 8, techniques=TECHNIQUES, seeds=SEEDS, workers=2,
-            engine="fast",
+            engine="fused",
         )
         assert canonical(box["aggregates"]) == canonical(reference)
         assert not box["aggregates"].failures
@@ -343,7 +343,7 @@ class TestQueueCampaigns:
                 checkpoint_dir={ckpt!r},
                 techniques=("PARA", "TWiCe"),
                 seeds=(0, 1),
-                engine="fast",
+                engine="fused",
                 executor=QueueExecutor(
                     {qdir!r}, workers=2, poll_interval=0.05,
                 ),
@@ -388,11 +388,11 @@ class TestQueueCampaigns:
         assert 1 <= completed < len(TECHNIQUES) * len(SEEDS)
         resumed = run_durable_campaign(
             small_test_config(num_banks=2), 8, ckpt, resume=True,
-            techniques=TECHNIQUES, seeds=SEEDS, workers=0, engine="fast",
+            techniques=TECHNIQUES, seeds=SEEDS, workers=0, engine="fused",
         )
         reference = run_campaign(
             small_test_config(num_banks=2), 8, techniques=TECHNIQUES,
-            seeds=SEEDS, workers=0, engine="fast",
+            seeds=SEEDS, workers=0, engine="fused",
         )
         assert canonical(resumed) == canonical(reference)
         assert store.status().complete
@@ -411,7 +411,7 @@ class TestQueueCampaigns:
         def drive():
             box["aggregates"] = run_campaign(
                 config, 8, techniques=("PARA",), seeds=(0,),
-                engine="fast", executor=executor,
+                engine="fused", executor=executor,
             )
 
         driver = threading.Thread(target=drive, name="heal-driver")
@@ -438,6 +438,6 @@ class TestQueueCampaigns:
             driver.join(timeout=10)
         reference = run_campaign(
             config, 8, techniques=("PARA",), seeds=(0,), workers=0,
-            engine="fast",
+            engine="fused",
         )
         assert canonical(box["aggregates"]) == canonical(reference)

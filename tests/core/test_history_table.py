@@ -117,7 +117,7 @@ class TestFIFOProperty:
     def test_matches_insertion_ordered_dict_model(self, ops):
         """The table behaves exactly like an insertion-ordered dict with
         oldest-first eviction: update-in-place keeps an entry's position,
-        a new entry at capacity evicts the head.  The fast engine's
+        a new entry at capacity evicts the head.  The fused engine's
         history-table mirror relies on precisely this equivalence."""
         capacity = 4
         table = HistoryTable(entries=capacity, refint=64)

@@ -1,6 +1,6 @@
 """Differential test harness for the simulation engines.
 
-The fast engine (:mod:`repro.sim.fast_engine`) is only allowed to exist
+The fused engine (:mod:`repro.sim.fused_engine`) is only allowed to exist
 because this harness pins it field-for-field to the reference engine:
 every comparison runs both engines over *identically generated* traces
 and asserts that the two :class:`~repro.sim.metrics.SimResult` objects
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Tuple
 
 from repro.sim.engine import run_simulation
-from repro.sim.fast_engine import run_simulation_fast
+from repro.sim.fused_engine import run_simulation_fused
 from repro.sim.metrics import SimResult
 from repro.traces.record import Trace
 
@@ -58,15 +58,15 @@ def assert_engines_equivalent(
     reference = run_simulation(
         config, trace_factory(), mitigation_factory, seed=seed, **engine_kwargs
     )
-    fast = run_simulation_fast(
+    fused = run_simulation_fused(
         config, trace_factory(), mitigation_factory, seed=seed, **engine_kwargs
     )
-    differences = diff_results(reference, fast)
+    differences = diff_results(reference, fused)
     assert not differences, (
         f"engines diverged for technique={reference.technique!r} "
         f"seed={seed} kwargs={engine_kwargs!r}:\n"
         + "\n".join(
-            f"  {field}: reference={ref!r} fast={cand!r}"
+            f"  {field}: reference={ref!r} fused={cand!r}"
             for field, (ref, cand) in differences.items()
         )
     )

@@ -24,7 +24,7 @@ def _trace(seed: int):
     return paper_mixed_workload(CONFIG, total_intervals=TOTAL_INTERVALS, seed=seed)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fused"])
 @pytest.mark.parametrize("technique", technique_names() + [None], ids=str)
 def test_run_simulation_is_seed_deterministic(technique, engine):
     run = get_engine(engine)

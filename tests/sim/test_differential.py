@@ -1,11 +1,11 @@
-"""Differential equivalence: fast engine vs reference engine.
+"""Differential equivalence: fused engine (single cell) vs reference.
 
 Every registered technique (plus the unmitigated baseline) is replayed
 by both engines over a grid of (workload, seed) points, plus the
 engine-kwarg and refresh-policy variants, and the results must be
 field-for-field identical.  This is the correctness spine that lets the
-fast engine take shortcuts (bulk RNG draws, run batching, interval
-skipping) without any risk of silent drift.
+fused engine take shortcuts (bulk RNG draws, run batching, interval
+skipping, on-demand decoding) without any risk of silent drift.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ def test_multi_bank_equivalence(two_bank_config, technique):
 
 
 def test_distance2_disturbance_equivalence():
-    """Second-neighbour disturbance disables run batching; still exact."""
+    """Second-neighbour disturbance takes the per-ACT scalar device
+    pass; still exact."""
     config = small_test_config().scaled(distance2_rate=0.5)
     assert_engines_equivalent(
         config, _flooding(0, config=config), _factory("LiPRoMi"), seed=0
@@ -182,12 +183,11 @@ def test_mismatched_policy_geometry_rejected():
     """Every engine validates the policy geometry identically."""
     from repro.dram.refresh import SequentialRefresh
     from repro.sim.engine import run_simulation
-    from repro.sim.fast_engine import run_simulation_fast
     from repro.sim.fused_engine import run_simulation_fused
 
     other = small_test_config(rows_per_bank=1024)
     policy = SequentialRefresh(other.geometry)
-    for engine in (run_simulation, run_simulation_fast, run_simulation_fused):
+    for engine in (run_simulation, run_simulation_fused):
         with pytest.raises(ValueError):
             engine(
                 CONFIG, _mixed(0)(), _factory("PARA"), refresh_policy=policy

@@ -23,13 +23,22 @@ from repro.dram.refresh import all_policies
 from repro.dram.remap import random_remap_geometry
 from repro.mitigations.registry import (
     MODERN_TECHNIQUES,
+    make_factory,
     technique_class,
     technique_names,
 )
-from repro.sim.fused_engine import GridCell, grid_cells, run_simulation_grid
+from repro.sim.engine import run_simulation
+from repro.sim.fused_engine import (
+    _TAPE_BLOCK,
+    GridCell,
+    grid_cells,
+    run_simulation_fused,
+    run_simulation_grid,
+)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.traces.attacker import AttackSpec
 from repro.traces.mixer import build_trace, paper_mixed_workload
+from repro.traces.record import Trace
 
 from tests.harness import assert_grid_equivalent
 
@@ -260,6 +269,101 @@ def test_stop_after_first_trigger_grid(technique):
     )
 
 
+def _counted(trace):
+    """*trace* as a lazy one-shot trace, plus a count of records read."""
+    read = [0]
+
+    def records():
+        for record in trace.records:
+            read[0] += 1
+            yield record
+
+    return Trace(trace.meta, records()), read
+
+
+def _stop_run_end(records, stop, interval_ns):
+    """End of the run of identical records holding record ``stop - 1``
+    -- the last record an early-stopping lane replays."""
+    def key(record):
+        return (record.bank, record.row, record.is_attack,
+                record.time_ns // interval_ns)
+
+    end = stop
+    while end < len(records) and key(records[end]) == key(records[stop - 1]):
+        end += 1
+    return end
+
+
+#: (technique, early-stop keyword) pairs; an unmitigated run never
+#: triggers, so it stops only at an activation limit
+EARLY_STOPS = [
+    pytest.param(technique, {"stop_after_first_trigger": True},
+                 id=f"{technique}-first_trigger")
+    for technique in ("LiPRoMi", "PARA", "TWiCe")
+] + [
+    pytest.param(technique, {"max_activations": 500},
+                 id=f"{technique}-max_activations")
+    for technique in ("LiPRoMi", "PARA", "TWiCe", None)
+]
+
+
+@pytest.mark.parametrize("technique, stop", EARLY_STOPS)
+def test_early_stop_reads_one_block_past_the_stop(technique, stop):
+    """A run that stops early decodes a lazy trace only one tape block
+    past the run it stops in, and still equals the reference result."""
+    factory = make_factory(technique) if technique else None
+    records = _mixed(3)().materialize().records
+    trace, read = _counted(_mixed(3)())
+    result = run_simulation_fused(CONFIG, trace, factory, seed=3, **stop)
+    reference = run_simulation(CONFIG, _mixed(3)(), factory, seed=3, **stop)
+    assert result.as_dict() == reference.as_dict()
+    end = _stop_run_end(
+        records, result.normal_activations, trace.meta.interval_ns
+    )
+    assert end + _TAPE_BLOCK < len(records), "the run must stop early"
+    assert read[0] <= end + _TAPE_BLOCK
+
+
+@pytest.mark.parametrize("technique, stop", EARLY_STOPS)
+def test_early_stop_on_a_trace_shorter_than_one_block(technique, stop):
+    """The first tape read can reach the end of a short lazy trace."""
+    trace = _mixed(3)().materialize()
+    short = trace.records[:_TAPE_BLOCK // 2]
+    factory = make_factory(technique) if technique else None
+    result = run_simulation_fused(
+        CONFIG, Trace(trace.meta, iter(short)), factory, seed=3, **stop
+    )
+    reference = run_simulation(
+        CONFIG, Trace(trace.meta, list(short)), factory, seed=3, **stop
+    )
+    assert result.normal_activations > 0
+    assert result.as_dict() == reference.as_dict()
+
+
+def test_early_stop_grid_reads_only_what_its_lanes_replay():
+    """Lanes of one grid share the on-demand tape: the trace is read one
+    block past the latest stop, and every cell equals its solo reference
+    run."""
+    cells = grid_cells(["PARA", "LiPRoMi", "TWiCe"], (4, 5), config=CONFIG)
+    records = _mixed(4)().materialize().records
+    trace, read = _counted(_mixed(4)())
+    results = run_simulation_grid(
+        CONFIG, trace, cells, stop_after_first_trigger=True
+    )
+    ends = []
+    for cell, result in zip(cells, results):
+        reference = run_simulation(
+            CONFIG, _mixed(4)(), make_factory(cell.technique), seed=cell.seed,
+            stop_after_first_trigger=True,
+        )
+        assert result.as_dict() == reference.as_dict()
+        ends.append(_stop_run_end(
+            records, result.normal_activations, trace.meta.interval_ns
+        ))
+    assert max(ends) + _TAPE_BLOCK < len(records)
+    assert read[0] <= max(ends) + _TAPE_BLOCK
+
+
 @pytest.mark.parametrize("limit", [1, 137, 500])
 def test_max_activations_grid(limit):
     cells = grid_cells(
@@ -332,20 +436,20 @@ def test_tracer_requires_single_cell():
         )
 
 
-def test_single_cell_tracer_matches_solo_fast_engine():
-    """A one-cell grid with telemetry equals the solo fast engine's."""
-    from repro.sim.fast_engine import run_simulation_fast
-    from repro.mitigations.registry import make_factory
+def test_single_cell_tracer_matches_solo_fused_run():
+    """A one-cell grid with telemetry emits the solo fused run's event
+    stream, and both equal the reference result."""
     from repro.telemetry import RecordingTracer
 
     trace = _mixed(0)().materialize()
     solo_tracer, grid_tracer = RecordingTracer(), RecordingTracer()
-    solo = run_simulation_fast(
+    solo = run_simulation_fused(
         CONFIG, trace, make_factory("LiPRoMi"), seed=0, tracer=solo_tracer
     )
     [gridded] = run_simulation_grid(
         CONFIG, trace, [GridCell(technique="LiPRoMi", seed=0)],
         tracer=grid_tracer,
     )
-    assert solo.as_dict() == gridded.as_dict()
-    assert solo_tracer.events == grid_tracer.events
+    reference = run_simulation(CONFIG, trace, make_factory("LiPRoMi"), seed=0)
+    assert solo.as_dict() == gridded.as_dict() == reference.as_dict()
+    assert solo_tracer.events and solo_tracer.events == grid_tracer.events

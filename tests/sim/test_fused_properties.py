@@ -12,8 +12,8 @@ bit-exact differential suite cannot name individually:
 * counter-table monotonicity -- CaPRoMi counter entries only grow
   between refreshes, locks never release, drops never decrease, and the
   TWiCe lifetime counters stay strictly below the trigger threshold;
-* cell slicing -- any cell of a fused grid equals a solo fast-engine
-  run with the same (technique, seed, pbase);
+* cell slicing -- any cell of a fused grid equals a solo
+  reference-engine run with the same (technique, seed, pbase);
 * device-pass agreement -- the columnar device pass and the scalar
   device function give the same flips and ``max_disturbance`` for any
   tape and any sparse list of mitigating ACTs.
@@ -36,14 +36,14 @@ from repro.mitigations.registry import (
     make_mitigation,
     technique_names,
 )
-from repro.sim.fast_engine import run_simulation_fast
+from repro.sim.engine import run_simulation
 from repro.sim.fused_engine import (
-    _FusedCaPRoMiDecider,
-    _FusedTiVaDecider,
-    _FusedTWiCeDecider,
+    _CaPRoMiDecider,
     _Lane,
     _Shared,
     _Tape,
+    _TiVaPRoMiDecider,
+    _TWiCeDecider,
     _device_columnar,
     _device_scalar,
     _np,
@@ -85,7 +85,7 @@ def _drive(decider, stream):
 @given(technique=tiva_techniques, seed=st.integers(0, 50), stream=runs)
 def test_weight_table_normalisation(technique, seed, stream):
     """Every cached slot probability and every live query is in [0, 1]."""
-    decider = _FusedTiVaDecider(
+    decider = _TiVaPRoMiDecider(
         make_mitigation(technique, CONFIG, bank=0, seed=seed)
     )
     for interval in _drive(decider, stream):
@@ -101,7 +101,7 @@ def test_history_fifo_eviction_order(technique, seed, stream):
     """The history table is a capacity-bounded FIFO: re-triggering a
     resident row updates it in place, inserting a new row at capacity
     evicts exactly the oldest resident."""
-    decider = _FusedTiVaDecider(
+    decider = _TiVaPRoMiDecider(
         make_mitigation(technique, CONFIG, bank=0, seed=seed)
     )
     capacity = decider.capacity
@@ -127,7 +127,7 @@ def test_counter_table_monotonicity(seed, stream):
     """Between refreshes, a resident CaPRoMi counter never decreases, a
     locked entry never unlocks (and is never evicted), and the drop
     counter never decreases."""
-    decider = _FusedCaPRoMiDecider(
+    decider = _CaPRoMiDecider(
         make_mitigation("CaPRoMi", CONFIG, bank=0, seed=seed)
     )
     counters = decider.mitigation.counters
@@ -158,10 +158,10 @@ def test_counter_table_monotonicity(seed, stream):
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 50), stream=runs)
 def test_twice_counters_stay_below_threshold(seed, stream):
-    """The TWiCe bulk update preserves the fast engine's invariant:
+    """The TWiCe bulk update preserves the per-record invariant:
     stored lifetime counts are always strictly below the trigger
     threshold (a count reaching it fires and resets inside the run)."""
-    decider = _FusedTWiCeDecider(
+    decider = _TWiCeDecider(
         make_mitigation("TWiCe", CONFIG, bank=0, seed=seed)
     )
     threshold = decider.mitigation.trigger_threshold
@@ -178,10 +178,10 @@ def test_twice_counters_stay_below_threshold(seed, stream):
     rate=st.integers(min_value=1, max_value=60),
     aggressor=st.integers(min_value=1, max_value=ROWS - 2),
 )
-def test_fused_cell_slice_equals_solo_fast_run(
+def test_fused_cell_slice_equals_solo_reference_run(
     technique, seed, rate, aggressor
 ):
-    """Slicing a fused grid at any cell gives exactly the solo fast
+    """Slicing a fused grid at any cell gives exactly the solo reference
     engine's result for that (technique, seed, pbase)."""
     from repro.sim.fused_engine import run_simulation_grid
 
@@ -204,7 +204,7 @@ def test_fused_cell_slice_equals_solo_fast_run(
     results = run_simulation_grid(CONFIG, trace, cells)
     for cell, result in zip(cells, results):
         cell_config = cell.config or CONFIG
-        solo = run_simulation_fast(
+        solo = run_simulation(
             cell_config, trace,
             make_factory(cell.technique) if cell.technique else None,
             seed=cell.seed,
@@ -266,7 +266,9 @@ def _device_input(config, policy, runs, actions, prefix, tail):
             ))
     total = interval + 1 + tail
     trace = Trace(TraceMeta(total, interval_ns, geometry.num_banks), records)
-    shared = _Shared(geometry, policy, _Tape(trace), False, None)
+    tape = _Tape(trace)
+    tape.read()
+    shared = _Shared(geometry, policy, tape, False, None)
     lane = _Lane(shared, None, 0, config, None)
     done = round(prefix * len(records))
     lane.activation_index = done

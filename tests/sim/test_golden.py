@@ -36,12 +36,20 @@ def _expected(technique: str) -> dict:
     return GOLDEN["results"][technique]
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "fused"])
+# The "fast" case feeds the fused engine a lazy trace that streams from
+# disk in one pass, so the on-demand tape pulls every block as the
+# decision walk reaches it. The id keeps the name of the engine that
+# used to own this streaming path.
+@pytest.mark.parametrize(
+    "engine, lazy",
+    [("reference", False), ("fused", False), ("fused", True)],
+    ids=["reference", "fused", "fast"],
+)
 @pytest.mark.parametrize("technique", sorted(GOLDEN["results"]))
-def test_golden_result(technique, engine):
+def test_golden_result(technique, engine, lazy):
     config = golden_config()
-    trace = load_trace(TRACE_PATH)
-    assert trace.count() == GOLDEN["records"]
+    assert load_trace(TRACE_PATH).count() == GOLDEN["records"]
+    trace = load_trace(TRACE_PATH, lazy=lazy)
     factory = make_factory(technique) if technique != "none" else None
     result = get_engine(engine)(config, trace, factory, seed=SEED)
     assert result.as_dict() == _expected(technique), (

@@ -9,7 +9,7 @@ Two invariants:
   non-decreasing ``time_ns``, and metric counters that reconcile with
   the result's own totals.
 
-The two engines' event streams legitimately differ (the fast engine
+The two engines' event streams legitimately differ (the fused engine
 emits ``rng-block`` events and batches skipped-interval rollovers), so
 only the result and the reconcilable aggregates are compared.
 """
@@ -54,7 +54,7 @@ def _flooding(seed):
     )
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fused"])
 @pytest.mark.parametrize(
     "technique", ["LoLiPRoMi", "PARA", "TWiCe", None], ids=str
 )
@@ -65,15 +65,15 @@ def test_telemetry_is_transparent(engine, technique):
     )
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fused"])
 def test_telemetry_transparent_on_flooding_with_skips(engine):
-    # flooding traces exercise the fast engine's interval-skip path
+    # flooding traces exercise the fused engine's interval-skip path
     assert_telemetry_transparent(
         CONFIG, _flooding(2), make_factory("LiPRoMi"), seed=2, engine=engine
     )
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fused"])
 def test_event_stream_is_well_formed(engine):
     _result, tracer, _metrics = assert_telemetry_transparent(
         CONFIG, _mixed(0), make_factory("LoLiPRoMi"), seed=0, engine=engine
@@ -89,7 +89,7 @@ def test_event_stream_is_well_formed(engine):
         last_time = event["time_ns"]
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fused"])
 def test_metrics_reconcile_with_result(engine):
     result, tracer, metrics = assert_telemetry_transparent(
         CONFIG, _mixed(3), make_factory("LoLiPRoMi"), seed=3, engine=engine
@@ -109,7 +109,7 @@ def test_metrics_reconcile_with_result(engine):
 def test_engines_agree_on_aggregate_counters():
     """Per-event streams differ, but the reconcilable totals match."""
     outcomes = {}
-    for engine in ("reference", "fast"):
+    for engine in ("reference", "fused"):
         _result, _tracer, metrics = assert_telemetry_transparent(
             CONFIG, _mixed(4), make_factory("LoLiPRoMi"), seed=4,
             engine=engine,
@@ -117,14 +117,15 @@ def test_engines_agree_on_aggregate_counters():
         outcomes[engine] = {
             name: counter.value
             for name, counter in metrics.counters.items()
-            if not name.startswith("rng_")  # fast-engine-only accounting
+            # the fused engine alone accounts its draws and its grid
+            if not name.startswith(("rng_", "fused."))
         }
-    assert outcomes["reference"] == outcomes["fast"]
+    assert outcomes["reference"] == outcomes["fused"]
 
 
-def test_fast_engine_reports_rng_blocks():
+def test_fused_engine_reports_rng_blocks():
     _result, tracer, metrics = assert_telemetry_transparent(
-        CONFIG, _flooding(1), make_factory("LoLiPRoMi"), seed=1, engine="fast"
+        CONFIG, _flooding(1), make_factory("LoLiPRoMi"), seed=1, engine="fused"
     )
     blocks = tracer.of_kind("rng-block")
     assert blocks, "bulk draws must be accounted"
@@ -134,7 +135,7 @@ def test_fast_engine_reports_rng_blocks():
 
 
 def test_null_tracer_is_equivalent_to_no_tracer():
-    run = get_engine("fast")
+    run = get_engine("fused")
     bare = run(CONFIG, _mixed(0)(), make_factory("PARA"), seed=0)
     nulled = run(
         CONFIG, _mixed(0)(), make_factory("PARA"), seed=0,
@@ -143,14 +144,16 @@ def test_null_tracer_is_equivalent_to_no_tracer():
     assert bare.as_dict() == nulled.as_dict()
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_profiler_sections_cover_the_run(engine):
+@pytest.mark.parametrize("engine, sections", [
+    ("reference", {"engine:setup", "engine:replay", "engine:drain"}),
+    ("fused", {"engine:decode", "engine:setup", "engine:replay",
+               "engine:drain"}),
+], ids=["reference", "fused"])
+def test_profiler_sections_cover_the_run(engine, sections):
     profiler = Profiler()
     run = get_engine(engine)
     run(CONFIG, _mixed(0)(), make_factory("PARA"), seed=0, profiler=profiler)
-    assert set(profiler.sections) == {
-        "engine:setup", "engine:replay", "engine:drain"
-    }
+    assert set(profiler.sections) == sections
     assert profiler.total_seconds > 0.0
 
 
@@ -169,7 +172,7 @@ def test_history_events_fire_under_pressure():
         ),
         seed=0,
     )
-    for engine in ("reference", "fast"):
+    for engine in ("reference", "fused"):
         _result, tracer, metrics = assert_telemetry_transparent(
             config, trace, make_factory("LoLiPRoMi"), seed=0, engine=engine
         )

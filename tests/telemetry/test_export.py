@@ -40,7 +40,7 @@ def sample_registry():
 
 def sample_summary():
     spans = SpanTracer(id_seed="cfg")
-    with spans.span("campaign", engine="fast"):
+    with spans.span("campaign", engine="fused"):
         for seed in (0, 1):
             with spans.span("shard", seed=seed):
                 pass

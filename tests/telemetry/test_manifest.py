@@ -40,7 +40,7 @@ class TestRoundTrip:
     def test_write_then_load_preserves_every_field(self, tmp_path):
         manifest = build_manifest(
             small_test_config(),
-            engine="fast",
+            engine="fused",
             seeds=(0, 1, 2),
             comparison={"PARA": _aggregate()},
             metrics=MetricsRegistry(),
@@ -65,7 +65,7 @@ class TestRoundTrip:
         profiler = Profiler()
         profiler.add("engine:replay", 1.5)
         manifest = build_manifest(
-            small_test_config(), engine="fast", seeds=(0,), profiler=profiler
+            small_test_config(), engine="fused", seeds=(0,), profiler=profiler
         )
         assert manifest.timings["engine:replay"]["seconds"] == 1.5
 
@@ -86,9 +86,9 @@ class TestTechniqueSummary:
 class TestDiff:
     def _pair(self, **tweaks):
         config = small_test_config()
-        a = build_manifest(config, engine="fast", seeds=(0,),
+        a = build_manifest(config, engine="fused", seeds=(0,),
                            comparison={"PARA": _aggregate(seeds=(0,))})
-        b = build_manifest(config, engine=tweaks.get("engine", "fast"),
+        b = build_manifest(config, engine=tweaks.get("engine", "fused"),
                            seeds=(0,),
                            comparison={"PARA": _aggregate(seeds=(0,))})
         return a, b
@@ -100,7 +100,7 @@ class TestDiff:
 
     def test_engine_change_is_reported(self):
         a, b = self._pair(engine="reference")
-        assert diff_manifests(a, b) == {"engine": ("fast", "reference")}
+        assert diff_manifests(a, b) == {"engine": ("fused", "reference")}
 
     def test_result_change_is_reported_with_dotted_path(self):
         a, b = self._pair()

@@ -5,7 +5,7 @@ from repro.telemetry.spans import Span, SpanTracer, span_id_for, span_of
 
 def small_tree(seed="cfg"):
     tracer = SpanTracer(id_seed=seed)
-    with tracer.span("campaign", engine="fast"):
+    with tracer.span("campaign", engine="fused"):
         with tracer.span("shard", technique="PARA", seed=0):
             with tracer.span("trace"):
                 pass

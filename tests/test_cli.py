@@ -330,7 +330,7 @@ class TestDistributedCli:
     """The queue executor lane and campaign-worker entry point."""
 
     CAMPAIGN = ["campaign", "--intervals", "8", "--seeds", "2",
-                "--techniques", "PARA", "TWiCe", "--engine", "fast"]
+                "--techniques", "PARA", "TWiCe", "--engine", "fused"]
 
     @staticmethod
     def canonical(ckpt):

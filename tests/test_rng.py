@@ -66,7 +66,7 @@ class TestBufferedRandom:
 
     def test_interleaved_randrange_stays_exact(self):
         """randrange mid-block must consume the generator exactly where
-        an unbuffered caller would (the fast engine's PARA decider
+        an unbuffered caller would (the fused engine's PARA decider
         inlines this rewind protocol)."""
         import random
 
