@@ -309,7 +309,6 @@ def run_search(
     chunk_size: Optional[int] = None,
     metrics=None,
     on_generation: Optional[Callable[[int, List[Candidate]], None]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     on_event=None,
     spans=None,
 ) -> SearchOutcome:
@@ -324,10 +323,10 @@ def run_search(
       dominated by engine start-up otherwise).
     * ``on_generation(index, candidates)`` fires after each *newly
       evaluated* generation is checkpointed (not for replayed ones);
-      ``progress(evaluations, budget)`` after every generation, and
-      ``on_event`` receives the same ticks as unified
-      :class:`~repro.telemetry.progress.ProgressEvent` records
-      (``kind="adversary"``, ``unit="evaluations"``).
+      ``on_event`` receives a
+      :class:`~repro.telemetry.progress.ProgressEvent`
+      (``kind="adversary"``, ``unit="evaluations"``) after every
+      generation.
     * ``spans`` -- optional :class:`~repro.telemetry.spans.SpanTracer`:
       the search records a ``search`` root span with one ``generation``
       child per generation (``replayed`` marks checkpoint replays);
@@ -367,7 +366,6 @@ def run_search(
     generation = 0
 
     dispatcher = ProgressDispatcher("adversary", unit="evaluations")
-    dispatcher.add_legacy(progress)
     dispatcher.add_listener(on_event)
     root_span = (
         spans.start(

@@ -28,7 +28,6 @@ from repro.mitigations.registry import technique_names
 from repro.sim.parallel import (
     CampaignResult,
     JobOutcome,
-    ProgressCallback,
     RetryPolicy,
     ShardFailure,
     run_campaign,
@@ -66,7 +65,6 @@ def run_durable_campaign(
     engine: str = "reference",
     memoize_traces: bool = True,
     chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
     on_event: Optional[ProgressListener] = None,
     tracer=None,
     metrics: Optional[MetricsRegistry] = None,
@@ -221,7 +219,6 @@ def run_durable_campaign(
             engine=engine,
             memoize_traces=memoize_traces,
             chunk_size=chunk_size,
-            progress=progress,
             on_event=on_event,
             tracer=tracer,
             metrics=scratch,

@@ -684,8 +684,8 @@ def _cmd_adversary(args) -> int:
         seed=args.seed,
     )
 
-    def progress(evaluations: int, budget: int) -> None:
-        print(f"adversary: {evaluations}/{budget} evaluations",
+    def progress(event) -> None:
+        print(f"adversary: {event.done}/{event.total} evaluations",
               file=sys.stderr)
 
     started = time.perf_counter()
@@ -696,7 +696,7 @@ def _cmd_adversary(args) -> int:
         resume=args.resume,
         workers=args.workers,
         metrics=metrics,
-        progress=progress,
+        on_event=progress,
         spans=spans,
     )
     if profiler is not None:

@@ -33,14 +33,14 @@ Layout and strategy
 * **Device pass** -- flips and ``max_disturbance`` follow afterwards
   from the tape plus that sparse ACT list.  A victim's disturbance is
   the run-weighted number of neighbour ACTs since its last restore (its
-  own ACT or the periodic refresh of its slot).  With numpy this is a
-  columnar pass of segmented counts over the run-weighted segments, one
-  bank at a time: the unmitigated baseline is computed once per tape
-  and each lane recounts only the victims its mitigating ACTs touch.
-  Without numpy, under Half-Double coupling (``distance2_rate > 0``,
-  whose fractional counts accumulate one ACT at a time), and for runs
-  that stop early (whose tape is read block by block), one scalar
-  device function replays the same input through counter dicts.
+  own ACT or the periodic refresh of its slot).  This is a columnar
+  pass of segmented counts over the run-weighted segments, one bank at
+  a time: the unmitigated baseline is computed once per tape and each
+  lane recounts only the victims its mitigating ACTs touch.  Under
+  Half-Double coupling (``distance2_rate > 0``, whose fractional counts
+  accumulate one ACT at a time) and for runs that stop early (whose
+  tape is read block by block), one scalar device function replays the
+  same input through counter dicts.
 * **Cell dedup** -- mitigation classes declare ``consumes_rng`` /
   ``consumes_pbase`` traits.  TWiCe and CRA consume neither, so their
   seed x pbase plane collapses to one computed cell; PARA, ProHit and
@@ -65,9 +65,7 @@ Exact equivalence to the reference engine on every cell is the
 non-negotiable invariant, enforced by ``tests/sim/test_fused_differential.py``
 via :func:`tests.harness.assert_grid_equivalent`; the two device passes
 are pinned to each other by a Hypothesis property in
-``tests/sim/test_fused_properties.py``.  numpy is optional: without it
-every scan falls back to the scalar loop (identical results, reduced
-throughput).
+``tests/sim/test_fused_properties.py``.
 """
 
 from __future__ import annotations
@@ -77,10 +75,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-try:  # numpy accelerates the draw scans; the scalar fallback is exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 from repro.config import DRAMGeometry, SimConfig
 from repro.controller.controller import MitigationFactory
@@ -260,9 +255,9 @@ class _Tape:
     reads, and :meth:`read` with no count decodes everything left.  The
     last run read stays *open* -- out of ``segments`` -- until a
     differing record or the end of the trace closes it, so the schedule
-    never depends on where the blocks fall.  With numpy, a tape decoded
-    whole also keeps the schedule as ``columns`` for the bulk scans and
-    the columnar device pass.
+    never depends on where the blocks fall.  A tape decoded whole also
+    keeps the schedule as ``columns`` for the bulk scans and the
+    columnar device pass.
     """
 
     __slots__ = (
@@ -313,7 +308,7 @@ class _Tape:
                 break
             if count is not None:
                 break
-        if fresh and self._records is None and _np is not None:
+        if fresh and self._records is None:
             self._segment_columns()
         else:
             self._segment()
@@ -496,7 +491,7 @@ class _DrawScan:
 
     def _first_below(self, start: int, end: int, p: float) -> Optional[int]:
         """Index of the first draw in ``_buf[start:end]`` below *p*."""
-        if _np is None or end - start < _NUMPY_SCAN_MIN:
+        if end - start < _NUMPY_SCAN_MIN:
             buf = self._buf
             for index in range(start, end):
                 if buf[index] < p:
@@ -701,7 +696,7 @@ class _TiVaPRoMiDecider(_DrawScan):
         return _np.asarray(slots, dtype=_np.int64)[inverse]
 
     def scan(self, rows, intervals):
-        """Decide every record of this bank in bulk (numpy only).
+        """Decide every record of this bank in bulk.
 
         *rows* and *intervals* are the bank's records in tape order.
         Between triggers and window starts the history table is fixed,
@@ -1011,8 +1006,6 @@ class _ProHitDecider(_BufferedVictimDecider):
                 # are idempotent re-assignments of the same value)
                 i = count
                 break
-            if _np is None:
-                continue  # scalar path stays exact, just slower
             # consume whole clean acts from the current block; the act
             # containing the first success (or straddling a block
             # boundary) is replayed scalar at the top of the loop
@@ -1125,8 +1118,6 @@ class _MRLocDecider(_BufferedVictimDecider):
             if i >= count:
                 break
             if tuple(queue) != before:
-                continue
-            if _np is None:
                 continue
             pattern = _np.asarray(self._steady_pattern(victims))
             # consume whole clean acts; the act containing the first
@@ -1326,7 +1317,7 @@ class _Shared:
             )
         raise TypeError(f"unknown mitigation action {action!r}")
 
-    # -- columnar helpers (numpy only) -----------------------------------
+    # -- columnar helpers ----------------------------------------------
 
     def neighbor_table(self, rows):
         """``(len(rows), k)`` neighbour matrix of *rows*, ``-1``-padded."""
@@ -1444,8 +1435,7 @@ class _Lane:
         # observer
         tape = shared.tape
         self.bulk = (
-            _np is not None
-            and shared.max_activations is None
+            shared.max_activations is None
             and not shared.stop_after_first_trigger
             and len(tape.times) < _BULK_RUN_LENGTH * len(tape.segments)
             and tele is None
@@ -1720,8 +1710,8 @@ def _device_scalar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
     tape order.  A victim's disturbance is the (run-weighted) number of
     neighbour ACTs since its last restore -- its own ACT or the periodic
     refresh of its slot.  Serves Half-Double coupling (whose fractional
-    counts must accumulate one ACT at a time), runs that stopped early
-    on a tape read block by block, and the numpy-free install.
+    counts must accumulate one ACT at a time) and runs that stopped
+    early on a tape read block by block.
     """
     times = sh.times
     num_banks = sh.geometry.num_banks
@@ -1958,7 +1948,7 @@ _EXTRA_DTYPES = ("int64", "int32", "int32", "int64", "int32")
 
 
 def _device_columnar(sh: _Shared, lane: _Lane) -> Tuple[int, List[FlipEvent]]:
-    """The columnar device pass (numpy, distance-1 model).
+    """The columnar device pass (distance-1 model).
 
     Starts from the shared unmitigated baseline of each bank and
     recounts only the victims the lane's mitigating ACTs touch -- the

@@ -18,7 +18,7 @@ which also keeps the comparison paired across techniques.
 
 In pool mode, jobs are dispatched in chunks (one pool task runs a
 whole chunk) to amortise pickling overhead, and an optional
-``progress`` callback is invoked as chunks complete.
+``on_event`` listener receives a progress event as chunks complete.
 
 Passing a :class:`RetryPolicy` turns on fault tolerance: a crashed or
 hung shard is retried with exponential backoff up to ``max_retries``
@@ -107,7 +107,6 @@ def parallel_map(
     items: Sequence[Any],
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
     on_event: Optional[ProgressListener] = None,
     spans: Optional[SpanTracer] = None,
 ) -> List[Any]:
@@ -120,18 +119,16 @@ def parallel_map(
     coverage, tracers); otherwise *fn* and every item must be picklable
     and items are dispatched in chunks like :func:`run_campaign`.
 
-    Progress is reported both ways: the legacy ``progress(done,
-    total)`` callable and an ``on_event`` listener receiving
-    :class:`~repro.telemetry.progress.ProgressEvent` records
-    (``kind="parallel_map"``, ``unit="items"``) fire together as
-    chunks complete.  ``spans`` records a ``parallel_map`` span with
+    ``on_event`` receives a
+    :class:`~repro.telemetry.progress.ProgressEvent`
+    (``kind="parallel_map"``, ``unit="items"``) as each chunk
+    completes.  ``spans`` records a ``parallel_map`` span with
     ``chunk``/``item`` children; pool workers record their chunk's
     spans locally and the tree is re-parented on merge.
     """
     items = list(items)
     total = len(items)
     dispatcher = ProgressDispatcher("parallel_map", unit="items")
-    dispatcher.add_legacy(progress)
     dispatcher.add_listener(on_event)
     collect_spans = spans is not None and spans.enabled
     with span_of(spans, "parallel_map", items=total):
@@ -181,7 +178,6 @@ def run_campaign(
     engine: str = "reference",
     memoize_traces: bool = True,
     chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
     on_event: Optional[ProgressListener] = None,
     tracer=None,
     metrics=None,
@@ -216,7 +212,10 @@ def run_campaign(
     selects the simulation engine (see
     :data:`repro.sim.engine.ENGINE_NAMES`); ``chunk_size`` jobs are
     grouped into one pool task (default: about four chunks per worker);
-    ``progress(done, total)`` is called after each completed chunk.
+    ``on_event`` receives a
+    :class:`~repro.telemetry.progress.ProgressEvent`
+    (``kind="campaign"``, ``unit="shards"``) after each completed
+    chunk.
 
     ``metrics`` works in every mode: pool workers collect their own
     registry and the shards are merged into the caller's on return.
@@ -237,10 +236,9 @@ def run_campaign(
     ``shard_timeout`` kill fires.  ``status_done_base`` offsets every
     published snapshot by shards completed *before* this invocation,
     so a resumed durable campaign reports whole-campaign totals
-    instead of remainder-only ones.  ``on_event`` receives unified
-    :class:`~repro.telemetry.progress.ProgressEvent` records
-    alongside the legacy ``progress`` callable.  All three are pure
-    observation: results are bit-identical with them on or off.
+    instead of remainder-only ones.  Spans, the status bus and
+    ``on_event`` are pure observation: results are bit-identical with
+    them on or off.
 
     ``trace_path`` replays one pre-serialised ``.npz`` trace (e.g. an
     ingested external capture, see :mod:`repro.traces.ingest`) for
@@ -286,7 +284,6 @@ def run_campaign(
     span_seed = spans.id_seed if collect_spans else ""
     status_dir = str(status.root) if status is not None else None
     dispatcher = ProgressDispatcher("campaign", unit="shards")
-    dispatcher.add_legacy(progress)
     dispatcher.add_listener(on_event)
     started_mono = time.monotonic()
     if status is not None:

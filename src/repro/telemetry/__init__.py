@@ -28,11 +28,7 @@ from repro.telemetry.manifest import (
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.profiler import Profiler, section_of
-from repro.telemetry.progress import (
-    ProgressDispatcher,
-    ProgressEvent,
-    adapt_legacy,
-)
+from repro.telemetry.progress import ProgressDispatcher, ProgressEvent
 from repro.telemetry.spans import Span, SpanTracer, span_id_for, span_of
 from repro.telemetry.statusbus import (
     CampaignSnapshot,
@@ -72,7 +68,6 @@ __all__ = [
     "write_json_atomic",
     "ProgressDispatcher",
     "ProgressEvent",
-    "adapt_legacy",
     "registry_from_prometheus",
     "to_jsonl",
     "to_prometheus",

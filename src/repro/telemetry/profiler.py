@@ -3,9 +3,10 @@
 A :class:`Profiler` accumulates named ``time.perf_counter`` sections.
 The engines open a handful of coarse sections per run (setup, replay,
 drain), the experiment layer adds per-technique and trace-generation
-sections, and the CLI renders the breakdown after the run.  Passing
-``profiler=None`` (the default) keeps every call site on a
-``nullcontext`` fast path.
+sections, and the CLI renders the breakdown after the run.  Sections
+nest (``technique:grid`` encloses the engine's ``engine:*`` sections),
+so the total counts only outermost ones.  Passing ``profiler=None``
+(the default) keeps every call site on a ``nullcontext`` fast path.
 """
 
 from __future__ import annotations
@@ -21,23 +22,32 @@ class Profiler:
     def __init__(self) -> None:
         #: ``name -> {"seconds": float, "calls": int}``, insertion-ordered
         self.sections: Dict[str, Dict[str, float]] = {}
+        self._depth = 0  # sections open right now
+        self._outermost = 0.0  # seconds of sections opened at depth 0
 
     @contextmanager
     def section(self, name: str):
         started = time.perf_counter()
+        self._depth += 1
         try:
             yield self
         finally:
+            self._depth -= 1
             self.add(name, time.perf_counter() - started)
 
     def add(self, name: str, seconds: float) -> None:
+        """Record *seconds* under *name*; counted toward the total unless
+        a section is open, which then encloses them."""
         entry = self.sections.setdefault(name, {"seconds": 0.0, "calls": 0})
         entry["seconds"] += seconds
         entry["calls"] += 1
+        if self._depth == 0:
+            self._outermost += seconds
 
     @property
     def total_seconds(self) -> float:
-        return sum(entry["seconds"] for entry in self.sections.values())
+        """Seconds of the outermost sections: nested ones are inside."""
+        return self._outermost
 
     def as_dict(self) -> Dict[str, Any]:
         return {name: dict(entry) for name, entry in self.sections.items()}

@@ -1,17 +1,13 @@
 """One progress vocabulary for every long-running loop.
 
-Before this module the repo had two ad-hoc progress-callback
-conventions: ``parallel_map(..., progress=fn)`` called ``fn(done,
-total)`` with completed shard counts, and adversary
-``run_search(..., progress=fn)`` called ``fn(evaluations, budget)``.
-Both survive unchanged as thin adapters around a single
-:class:`ProgressEvent` record that also carries *what kind of unit* is
-being counted and arbitrary context attributes -- which is what the
-status bus and the ``campaign-status --follow`` view need to render
-heterogeneous producers uniformly.
+``parallel_map``, ``run_campaign``/``run_durable_campaign`` and the
+adversary ``run_search`` report progress as :class:`ProgressEvent`
+records to an ``on_event`` listener.  An event carries *what kind of
+unit* is being counted and arbitrary context attributes -- which is
+what the status bus and the ``campaign-status --follow`` view need to
+render heterogeneous producers uniformly.
 
-Producers build a :class:`ProgressDispatcher`, hand it any mix of
-legacy ``(done, total)`` callables and :class:`ProgressEvent`
+Producers build a :class:`ProgressDispatcher`, hand it their
 listeners, and emit once per step; the dispatcher fans out and never
 lets a listener's exception kill the producing loop.
 """
@@ -23,8 +19,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 #: a listener receiving the full event record
 ProgressListener = Callable[["ProgressEvent"], None]
-#: the legacy convention: ``fn(done, total)``
-LegacyProgress = Callable[[int, int], None]
 
 
 @dataclass(frozen=True)
@@ -62,20 +56,10 @@ class ProgressEvent:
         }
 
 
-def adapt_legacy(callback: LegacyProgress) -> ProgressListener:
-    """Wrap an old ``fn(done, total)`` callable as an event listener."""
-
-    def listener(event: ProgressEvent) -> None:
-        callback(event.done, event.total)
-
-    return listener
-
-
 class ProgressDispatcher:
     """Fans one stream of :class:`ProgressEvent` out to many listeners.
 
-    Legacy ``(done, total)`` callables and event listeners coexist;
-    listener exceptions are swallowed so observability can never abort
+    Listener exceptions are swallowed so observability can never abort
     the work it is observing.
     """
 
@@ -87,10 +71,6 @@ class ProgressDispatcher:
     def add_listener(self, listener: Optional[ProgressListener]) -> None:
         if listener is not None:
             self._listeners.append(listener)
-
-    def add_legacy(self, callback: Optional[LegacyProgress]) -> None:
-        if callback is not None:
-            self._listeners.append(adapt_legacy(callback))
 
     def __bool__(self) -> bool:
         return bool(self._listeners)

@@ -8,10 +8,8 @@ Two formats:
   traces (e.g. converted gem5 output) enter the pipeline.
 * **npz** (:func:`save_trace_npz` / :func:`load_trace_npz`) -- columnar
   numpy arrays; ~10x smaller and far faster for the multi-million-
-  record traces of full-scale runs.  numpy is optional: without it a
-  pure-python codec reads and writes the same on-disk format (an npz is
-  a zip archive of npy members), so caches and campaign spools written
-  in one environment stay readable in the other.
+  record traces of full-scale runs.  Ingest caches and campaign spools
+  use this format.
 
 Externally captured traces in foreign formats (DRAMSim-style command
 logs, litex-rowhammer-tester payload dumps) enter through
@@ -23,8 +21,12 @@ malformed input.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
+
+import numpy as np
 
 from repro.traces.record import Trace, TraceMeta, TraceRecord
 
@@ -32,6 +34,9 @@ _HEADER_PREFIX = "#repro-trace:"
 
 #: header fields every native trace must declare
 _HEADER_KEYS = ("total_intervals", "interval_ns", "num_banks")
+
+#: the members of an npz trace, in the order :func:`load_trace_npz` reads
+_NPZ_COLUMNS = ("times", "banks", "rows", "attacks", "meta")
 
 
 class TraceFormatError(ValueError):
@@ -181,20 +186,10 @@ def load_trace(path: Union[str, Path], lazy: bool = False) -> Trace:
 
 
 def save_trace_npz(trace: Trace, path: Union[str, Path]) -> int:
-    """Write *trace* as columnar numpy arrays; returns the record count.
-
-    Without numpy the pure-python writer emits the same zip-of-npy
-    container (:func:`_save_npz_pure`), byte-compatible with
-    :func:`numpy.load`.
-    """
+    """Write *trace* as columnar numpy arrays; returns the record count."""
     trace.materialize()
     records = trace.records
     count = len(records)
-    try:
-        import numpy as np
-    except ImportError:
-        _save_npz_pure(trace, path)
-        return count
     times = np.fromiter((r.time_ns for r in records), dtype=np.int64, count=count)
     banks = np.fromiter((r.bank for r in records), dtype=np.int16, count=count)
     rows = np.fromiter((r.row for r in records), dtype=np.int32, count=count)
@@ -216,153 +211,57 @@ def save_trace_npz(trace: Trace, path: Union[str, Path]) -> int:
     return count
 
 
+def _npz_column(data, name: str, path) -> np.ndarray:
+    """Member *name* of an open npz archive, checked to be of an integer
+    or bool dtype."""
+    try:
+        column = data[name]
+    except KeyError as exc:
+        raise TraceFormatError(
+            path, f"unreadable npz archive: missing member {name!r}"
+        ) from exc
+    except (
+        ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error
+    ) as exc:
+        raise TraceFormatError(
+            path, f"npz member {name!r} is truncated or corrupt: {exc}"
+        ) from exc
+    if column.dtype.kind not in "biu":
+        raise TraceFormatError(
+            path, f"npz member {name!r} has dtype {column.dtype.str!r}, "
+                  "expected an integer or bool column"
+        )
+    return column
+
+
 def load_trace_npz(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace_npz`.
 
-    Falls back to the pure-python npz reader when numpy is absent;
-    either reader accepts archives written by either writer.
+    Raises :class:`TraceFormatError` when *path* is not a zip archive,
+    or a member is missing, truncated, not of an integer or bool dtype,
+    or of the wrong length.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        return _load_npz_pure(path)
-    with np.load(Path(path)) as data:
-        total_intervals, interval_ns, num_banks = (int(v) for v in data["meta"])
+    path = Path(path)
+    with path.open("rb") as handle:
+        if not zipfile.is_zipfile(handle):
+            raise TraceFormatError(
+                path, "unreadable npz archive: not a zip file"
+            )
+    with np.load(path) as data:
+        times, banks, rows, attacks, header = (
+            _npz_column(data, name, path) for name in _NPZ_COLUMNS
+        )
+        if len(header) != 3 or not (
+            len(times) == len(banks) == len(rows) == len(attacks)
+        ):
+            raise TraceFormatError(
+                path, "npz columns have inconsistent lengths"
+            )
+        total_intervals, interval_ns, num_banks = (int(v) for v in header)
         records = [
             TraceRecord(int(t), int(b), int(r), bool(a))
-            for t, b, r, a in zip(
-                data["times"], data["banks"], data["rows"], data["attacks"]
-            )
+            for t, b, r, a in zip(times, banks, rows, attacks)
         ]
-    meta = TraceMeta(
-        total_intervals=total_intervals,
-        interval_ns=interval_ns,
-        num_banks=num_banks,
-    )
-    return Trace(meta=meta, records=records)
-
-
-# ---------------------------------------------------------------------------
-# pure-python npy/npz codec (numpy-free fallback)
-#
-# An ``.npz`` file is a zip archive whose members are ``.npy`` files;
-# an ``.npy`` file is a fixed magic + ascii header dict + raw
-# little-endian column bytes.  Implementing the v1.0 subset we emit
-# (1-D ``<i8``/``<i4``/``<i2``/``|b1`` columns) keeps the no-numpy lane
-# on the exact same interchange format -- caches written with numpy
-# load without it and vice versa -- instead of forking into a
-# second, incompatible spool format.
-# ---------------------------------------------------------------------------
-
-_NPY_MAGIC = b"\x93NUMPY"
-
-#: npy descr -> struct per-element format code for the dtypes we emit
-_NPY_DESCRS = {"<i8": "q", "<i4": "i", "<i2": "h", "|b1": "?"}
-
-
-def _npy_bytes(values, descr: str) -> bytes:
-    """Serialise a 1-D column as an npy v1.0 member body."""
-    import struct
-
-    header = (
-        "{'descr': '%s', 'fortran_order': False, 'shape': (%d,), }"
-        % (descr, len(values))
-    )
-    # pad with spaces so magic+version+len+header is 64-byte aligned,
-    # ending in newline, exactly as numpy.lib.format writes it
-    unpadded = len(_NPY_MAGIC) + 2 + 2 + len(header) + 1
-    header = header + " " * (-unpadded % 64) + "\n"
-    return b"".join([
-        _NPY_MAGIC, b"\x01\x00",
-        struct.pack("<H", len(header)), header.encode("ascii"),
-        struct.pack("<%d%s" % (len(values), _NPY_DESCRS[descr]), *values),
-    ])
-
-
-def _parse_npy(data: bytes, path, name: str):
-    """Decode an npy member back into a list of python scalars."""
-    import ast
-    import struct
-
-    def bad(reason: str):
-        return TraceFormatError(path, f"npz member {name!r}: {reason}")
-
-    if data[: len(_NPY_MAGIC)] != _NPY_MAGIC:
-        raise bad("not an npy file (bad magic)")
-    major = data[len(_NPY_MAGIC)]
-    offset = len(_NPY_MAGIC) + 2
-    if major == 1:
-        (header_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-    elif major in (2, 3):
-        (header_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-    else:
-        raise bad(f"unsupported npy version {major}")
-    try:
-        header = ast.literal_eval(
-            data[offset:offset + header_len].decode("latin-1").strip()
-        )
-        descr = header["descr"]
-        shape = header["shape"]
-    except Exception as exc:
-        raise bad(f"malformed header: {exc}") from exc
-    if header.get("fortran_order") or len(shape) != 1:
-        raise bad(f"expected a 1-D C-order column, got {header!r}")
-    if descr not in _NPY_DESCRS:
-        raise bad(f"unsupported dtype {descr!r}")
-    count = shape[0]
-    code = _NPY_DESCRS[descr]
-    body = data[offset + header_len:]
-    expected = count * struct.calcsize("<" + code)
-    if len(body) < expected:
-        raise bad(f"truncated data ({len(body)} bytes, need {expected})")
-    return list(struct.unpack_from("<%d%s" % (count, code), body))
-
-
-def _save_npz_pure(trace: Trace, path: Union[str, Path]) -> None:
-    import zipfile
-
-    trace.materialize()
-    records = trace.records
-    columns = [
-        ("times", [r.time_ns for r in records], "<i8"),
-        ("banks", [r.bank for r in records], "<i2"),
-        ("rows", [r.row for r in records], "<i4"),
-        ("attacks", [r.is_attack for r in records], "|b1"),
-        ("meta", [trace.meta.total_intervals, trace.meta.interval_ns,
-                  trace.meta.num_banks], "<i8"),
-    ]
-    with zipfile.ZipFile(
-        Path(path), "w", compression=zipfile.ZIP_DEFLATED
-    ) as archive:
-        for name, values, descr in columns:
-            archive.writestr(f"{name}.npy", _npy_bytes(values, descr))
-
-
-def _load_npz_pure(path: Union[str, Path]) -> Trace:
-    import zipfile
-
-    path = Path(path)
-    columns = {}
-    try:
-        with zipfile.ZipFile(path) as archive:
-            for member in ("times", "banks", "rows", "attacks", "meta"):
-                columns[member] = _parse_npy(
-                    archive.read(f"{member}.npy"), path, f"{member}.npy"
-                )
-    except (zipfile.BadZipFile, KeyError) as exc:
-        raise TraceFormatError(path, f"unreadable npz archive: {exc}") from exc
-    total_intervals, interval_ns, num_banks = (
-        int(v) for v in columns["meta"]
-    )
-    records = [
-        TraceRecord(int(t), int(b), int(r), bool(a))
-        for t, b, r, a in zip(
-            columns["times"], columns["banks"],
-            columns["rows"], columns["attacks"],
-        )
-    ]
     meta = TraceMeta(
         total_intervals=total_intervals,
         interval_ns=interval_ns,

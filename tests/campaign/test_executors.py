@@ -85,7 +85,7 @@ class TestExecutorContract:
             shard_callback=lambda outcome, attempts: landed.append(
                 (outcome[0], outcome[1], attempts)
             ),
-            progress=lambda done, total: frames.append((done, total)),
+            on_event=lambda event: frames.append((event.done, event.total)),
         )
         assert sorted((name, seed) for name, seed, _ in landed) == sorted(
             (name, seed) for name in TECHNIQUES for seed in SEEDS

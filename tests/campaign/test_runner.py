@@ -61,7 +61,7 @@ class TestDurableCampaign:
         completed = []
         resumed = durable(
             config, tmp_path / "ckpt", resume=True,
-            progress=lambda done, total: completed.append((done, total)),
+            on_event=lambda event: completed.append((event.done, event.total)),
         )
         assert canonical(resumed) == canonical(first)
         assert completed[-1] == (1, 1)  # exactly one shard re-ran

@@ -21,7 +21,6 @@ bit-exact differential suite cannot name individually:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import small_test_config
@@ -46,7 +45,6 @@ from repro.sim.fused_engine import (
     _TWiCeDecider,
     _device_columnar,
     _device_scalar,
-    _np,
     grid_cells,
 )
 from repro.traces.attacker import AttackSpec
@@ -299,7 +297,6 @@ def _device_input(config, policy, runs, actions, prefix, tail):
     return shared, lane
 
 
-@pytest.mark.skipif(_np is None, reason="the columnar pass needs numpy")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(

@@ -97,14 +97,14 @@ class TestParallelMap:
     def test_progress_reports_monotonic_completion(self):
         seen = []
         parallel_map(_square, list(range(10)), workers=2, chunk_size=3,
-                     progress=lambda done, total: seen.append((done, total)))
+                     on_event=lambda event: seen.append((event.done, event.total)))
         assert seen[-1] == (10, 10)
         assert [done for done, _ in seen] == sorted(done for done, _ in seen)
 
     def test_inline_progress_fires_per_item(self):
         seen = []
         parallel_map(_square, [1, 2, 3], workers=0,
-                     progress=lambda done, total: seen.append(done))
+                     on_event=lambda event: seen.append(event.done))
         assert seen == [1, 2, 3]
 
 

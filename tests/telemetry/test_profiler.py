@@ -31,6 +31,25 @@ class TestProfiler:
         assert "engine:setup" in report
         assert "total" in report
 
+    def test_total_counts_only_outermost_sections(self):
+        profiler = Profiler()
+        with profiler.section("technique:grid"):
+            with profiler.section("engine:decode"):
+                pass
+            profiler.add("engine:replay", 2.0)
+        # the 2.0 s added inside the open section is not counted twice
+        outer = profiler.sections["technique:grid"]["seconds"]
+        assert profiler.total_seconds == outer
+        assert profiler.sections["engine:replay"] == {
+            "seconds": 2.0, "calls": 1,
+        }
+        assert profiler.sections["engine:decode"]["calls"] == 1
+        profiler.add("campaign:aggregate", 0.5)  # no section open
+        assert profiler.total_seconds == outer + 0.5
+        assert profiler.report().splitlines()[-1].split() == [
+            "total", f"{outer + 0.5:.3f}",
+        ]
+
     def test_as_dict_copies(self):
         profiler = Profiler()
         profiler.add("a", 1.0)

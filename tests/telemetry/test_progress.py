@@ -1,10 +1,6 @@
 """Tests for the unified progress event plane (repro.telemetry.progress)."""
 
-from repro.telemetry.progress import (
-    ProgressDispatcher,
-    ProgressEvent,
-    adapt_legacy,
-)
+from repro.telemetry.progress import ProgressDispatcher, ProgressEvent
 
 
 class TestProgressEvent:
@@ -26,23 +22,15 @@ class TestProgressEvent:
         assert data["attrs"] == {"generation": 2}
 
 
-class TestAdaptLegacy:
-    def test_wraps_done_total_callable(self):
-        seen = []
-        listener = adapt_legacy(lambda done, total: seen.append((done, total)))
-        listener(ProgressEvent(kind="x", done=2, total=5))
-        assert seen == [(2, 5)]
-
-
 class TestProgressDispatcher:
-    def test_fans_out_to_legacy_and_event_listeners(self):
+    def test_fans_out_to_every_listener(self):
         dispatcher = ProgressDispatcher("parallel_map", unit="items")
-        legacy, events = [], []
-        dispatcher.add_legacy(lambda done, total: legacy.append(done))
+        first, events = [], []
+        dispatcher.add_listener(lambda event: first.append(event.done))
         dispatcher.add_listener(events.append)
         dispatcher.emit(1, 3)
         dispatcher.emit(2, 3, chunk=1)
-        assert legacy == [1, 2]
+        assert first == [1, 2]
         assert [e.done for e in events] == [1, 2]
         assert events[0].kind == "parallel_map"
         assert events[0].unit == "items"
@@ -51,7 +39,7 @@ class TestProgressDispatcher:
     def test_bool_reflects_listeners(self):
         dispatcher = ProgressDispatcher("x")
         assert not dispatcher
-        dispatcher.add_legacy(None)  # ignored
+        dispatcher.add_listener(None)  # ignored
         assert not dispatcher
         dispatcher.add_listener(lambda event: None)
         assert dispatcher

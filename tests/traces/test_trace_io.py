@@ -205,99 +205,108 @@ class TestNpzRoundtrip:
         assert list(load_trace_npz(path)) == list(trace)
 
 
-class TestPurePythonNpzCodec:
-    """The numpy-free npy/npz codec used on the CI no-numpy lane.
+class TestNpzErrors:
+    """``load_trace_npz`` names malformed archives instead of misreading
+    them."""
 
-    The pure writer and reader are exercised directly here even when
-    numpy is installed, plus cross-compatibility in both directions:
-    an archive written by either codec must load through the other,
-    because ingest caches and campaign spools travel between
-    environments with and without numpy.
-    """
-
-    def generated(self):
-        config = small_test_config()
-        return build_trace(
-            config,
-            total_intervals=8,
-            benign_params=WorkloadParams(avg_acts_per_interval=10),
-            seed=3,
-        ).materialize()
-
-    def test_pure_roundtrip(self, tmp_path):
-        from repro.traces.trace_io import _load_npz_pure, _save_npz_pure
-
-        trace = self.generated()
-        path = tmp_path / "pure.npz"
-        _save_npz_pure(trace, path)
-        loaded = _load_npz_pure(path)
-        assert loaded.meta == trace.meta
-        assert list(loaded) == list(trace)
-
-    def test_pure_reader_loads_numpy_archives(self, tmp_path):
-        pytest.importorskip("numpy", exc_type=ImportError)
-        from repro.traces.trace_io import _load_npz_pure, save_trace_npz
-
-        trace = self.generated()
-        path = tmp_path / "np.npz"
-        save_trace_npz(trace, path)  # numpy writer (numpy installed)
-        loaded = _load_npz_pure(path)
-        assert loaded.meta == trace.meta
-        assert list(loaded) == list(trace)
-
-    def test_numpy_reader_loads_pure_archives(self, tmp_path):
-        np = pytest.importorskip("numpy", exc_type=ImportError)
-        from repro.traces.trace_io import _save_npz_pure
-
-        trace = self.generated()
-        path = tmp_path / "pure.npz"
-        _save_npz_pure(trace, path)
-        with np.load(path) as data:
-            assert data["times"].dtype == np.int64
-            assert data["banks"].dtype == np.int16
-            assert data["rows"].dtype == np.int32
-            assert data["attacks"].dtype == np.bool_
-            assert [int(v) for v in data["meta"]] == [
-                trace.meta.total_intervals,
-                trace.meta.interval_ns,
-                trace.meta.num_banks,
-            ]
-            assert [int(t) for t in data["times"]] == \
-                [r.time_ns for r in trace.records]
-
-    def test_pure_reader_rejects_truncated_member(self, tmp_path):
+    @staticmethod
+    def rewrite(path, **replace):
+        """Rewrite the npz at *path*, replacing (``bytes``) or dropping
+        (``None``) the members named in *replace*."""
         import zipfile
 
-        from repro.traces.trace_io import (
-            _load_npz_pure,
-            _npy_bytes,
-            _save_npz_pure,
-        )
-
-        trace = self.generated()
-        path = tmp_path / "cut.npz"
-        _save_npz_pure(trace, path)
         with zipfile.ZipFile(path) as archive:
             members = {
                 name: archive.read(name) for name in archive.namelist()
             }
-        members["times.npy"] = members["times.npy"][:-4]
+        for name, data in replace.items():
+            if data is None:
+                del members[f"{name}.npy"]
+            else:
+                members[f"{name}.npy"] = data
         with zipfile.ZipFile(path, "w") as archive:
             for name, data in members.items():
                 archive.writestr(name, data)
-        with pytest.raises(TraceFormatError, match="truncated"):
-            _load_npz_pure(path)
-        # unsupported dtypes are named, not silently misread
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("times.npy", _npy_bytes([1], "<i8").replace(
-                b"'<i8'", b"'<f8'", 1))
-        with pytest.raises(TraceFormatError, match="dtype"):
-            _load_npz_pure(path)
 
-    def test_pure_reader_rejects_non_zip(self, tmp_path):
-        from repro.traces.trace_io import _load_npz_pure
+    def saved(self, tmp_path):
+        from repro.traces.trace_io import save_trace_npz
+
+        path = tmp_path / "trace.npz"
+        save_trace_npz(sample_trace(), path)
+        return path
+
+    def test_rejects_truncated_member(self, tmp_path):
+        import zipfile
+
+        from repro.traces.trace_io import load_trace_npz
+
+        path = self.saved(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            times = archive.read("times.npy")
+        self.rewrite(path, times=times[:-4])
+        with pytest.raises(TraceFormatError, match="truncated"):
+            load_trace_npz(path)
+
+    def test_rejects_corrupt_member(self, tmp_path):
+        import zipfile
+
+        from repro.traces.trace_io import load_trace_npz
+
+        path = self.saved(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("times.npy")
+        # flip every byte of the member's deflate stream
+        start = info.header_offset + 30 + len(info.filename) + len(info.extra)
+        data = bytearray(path.read_bytes())
+        for offset in range(start, start + info.compress_size):
+            data[offset] ^= 0x5A
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="corrupt"):
+            load_trace_npz(path)
+
+    def test_rejects_non_zip(self, tmp_path):
+        from repro.traces.trace_io import load_trace_npz
 
         path = tmp_path / "bogus.npz"
         path.write_bytes(b"definitely not a zip archive")
         with pytest.raises(TraceFormatError, match="unreadable npz"):
-            _load_npz_pure(path)
+            load_trace_npz(path)
+
+    @pytest.mark.parametrize("member", ["times", "attacks", "meta"])
+    def test_rejects_missing_member(self, tmp_path, member):
+        from repro.traces.trace_io import load_trace_npz
+
+        path = self.saved(tmp_path)
+        self.rewrite(path, **{member: None})
+        with pytest.raises(TraceFormatError, match=f"missing member '{member}'"):
+            load_trace_npz(path)
+
+    def test_rejects_float_column(self, tmp_path):
+        """A float ``times`` column would load as values truncated by
+        ``int()``; its dtype is named instead."""
+        import io
+
+        import numpy as np
+
+        from repro.traces.trace_io import load_trace_npz
+
+        path = self.saved(tmp_path)
+        buffer = io.BytesIO()
+        np.save(buffer, np.array([1e-300, 2e-300, 3e-300]))
+        self.rewrite(path, times=buffer.getvalue())
+        with pytest.raises(TraceFormatError, match="dtype '<f8'"):
+            load_trace_npz(path)
+
+    def test_rejects_inconsistent_lengths(self, tmp_path):
+        import io
+
+        import numpy as np
+
+        from repro.traces.trace_io import load_trace_npz
+
+        path = self.saved(tmp_path)
+        buffer = io.BytesIO()
+        np.save(buffer, np.array([0, 1], dtype=np.int32))
+        self.rewrite(path, rows=buffer.getvalue())
+        with pytest.raises(TraceFormatError, match="inconsistent lengths"):
+            load_trace_npz(path)
